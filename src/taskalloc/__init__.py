@@ -81,7 +81,6 @@ from .scenario_io import (
 from .delay_modes import (
     DelayMode,
     ModedAllocation,
-    ModedPoaPoint,
     poa_under_mode,
     solve_under_mode,
     transformed_scenarios,
@@ -102,7 +101,6 @@ __all__ = [
     "InfeasibleLoadError",
     "InversionError",
     "ModedAllocation",
-    "ModedPoaPoint",
     "OracleConfig",
     "PoaCandidate",
     "PoaCurve",

@@ -14,32 +14,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .delay_modes import DelayMode, poa_under_mode, solve_under_mode, transformed_scenarios
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    InfeasibleLoadError,
-    InversionError,
-    SaturationError,
-    ScenarioParseError,
-    UnsupportedModelError,
-)
+from .errors import InfeasibleLoadError, ScenarioParseError, TaskAllocError
 from .latency import latency, zero_load_latency
 from .poa import default_grid, poa_at, worst_case_poa
 from .scenario_io import ScenarioDocument, SimSettings, load_scenario_file
 from .simulator import SimulationConfig, simulate, validate
-from .solver import (
-    AllocationKind,
-    Scenario,
-    SolverConfig,
-    activation_thresholds,
-    solve_nep,
-    solve_optimal,
-)
+from .solver import AllocationKind, Scenario, activation_thresholds, solve_nep, solve_optimal
 
 
 def _fmt(x: float) -> str:
@@ -62,12 +49,23 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
+def _resolution(text: str) -> float:
+    """A finite resolution > 0, as the scenario file requires."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got '{text}'")
+    return value
+
+
 def _load_document(args) -> ScenarioDocument:
     doc = load_scenario_file(args.scenario)
-    if getattr(args, "resolution", None) is not None:
+    if args.resolution is not None:
         sc = doc.scenario
-        config = SolverConfig(resolution=args.resolution, eps_sat=sc.config.eps_sat)
-        doc = ScenarioDocument(Scenario(sc.servers, config), doc.sweep, doc.simulation)
+        config = replace(sc.config, resolution=args.resolution)
+        doc = replace(doc, scenario=replace(sc, config=config))
     return doc
 
 
@@ -88,16 +86,26 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
             fh.close()
 
 
-def _server_label(s) -> tuple[str, str, str]:
-    return _fmt(s.d * 1000.0), _fmt(s.mu), _fmt(s.cv)
+def _save_csv(args, header: list[str], rows: list[list]) -> None:
+    """Write the rows to --out, if given, and say so."""
+    if args.out:
+        _write_csv(args.out, header, rows)
+        print(f"wrote {args.out}")
 
 
-def _cmd_solve(args, kind: AllocationKind | None = None) -> int:
+def _print_table(header: list[str], widths: list[int], rows: list[list]) -> None:
+    """Right-aligned columns; floats with 6 significant digits."""
+    print(" ".join(f"{h:>{w}}" for h, w in zip(header, widths)))
+    for row in rows:
+        cells = (v if isinstance(v, (int, str)) else _fmt(v) for v in row)
+        print(" ".join(f"{c:>{w}}" for c, w in zip(cells, widths)))
+
+
+def _cmd_solve(args) -> int:
     doc = _load_document(args)
     sc = doc.scenario
     lam = _resolve_load(sc, args)
-    if kind is None:
-        kind = AllocationKind(args.kind)
+    kind = AllocationKind(args.kind)
     mode = DelayMode(args.delay_mode)
     moded = solve_under_mode(sc, lam, kind, mode)
     result = moded.result
@@ -109,20 +117,14 @@ def _cmd_solve(args, kind: AllocationKind | None = None) -> int:
     print(f"multiplier: {_fmt(result.multiplier)} s")
     print(f"solved mean latency: {_fmt(result.mean_latency)} s")
     print(f"evaluated mean latency: {_fmt(moded.evaluated_latency)} s")
-    print(f"{'server':>6} {'d_ms':>10} {'mu':>10} {'cv':>6} {'model':>7} "
-          f"{'p':>12} {'rate':>12} {'latency_s':>12}")
     rows = []
     for i, s in enumerate(sc.servers):
         x = float(result.p[i]) * lam
         lat = latency(eval_sc.servers[i], x)
-        d_ms, mu, cv = _server_label(s)
-        print(f"{i:>6} {d_ms:>10} {mu:>10} {cv:>6} {s.model.value:>7} "
-              f"{_fmt(result.p[i]):>12} {_fmt(x):>12} {_fmt(lat):>12}")
         rows.append([i, s.d * 1000.0, s.mu, s.cv, s.model.value, float(result.p[i]), x, lat])
-    if args.out:
-        _write_csv(args.out, ["server", "d_ms", "mu", "cv", "model", "p", "rate", "latency_s"],
-                   rows)
-        print(f"wrote {args.out}")
+    header = ["server", "d_ms", "mu", "cv", "model", "p", "rate", "latency_s"]
+    _print_table(header, [6, 10, 10, 6, 7, 12, 12, 12], rows)
+    _save_csv(args, header, rows)
     return 0
 
 
@@ -136,17 +138,14 @@ def _cmd_thresholds(args) -> int:
 
     header = ["position", "server", "d_ms", "mu", "zero_load_latency_s"]
     header += [f"threshold_{k.value}" for k in kinds]
-    print(" ".join(f"{h:>20}" for h in header))
     rows = []
     for pos, idx in enumerate(order):
         s = sc.servers[idx]
         row = [pos + 1, idx, s.d * 1000.0, s.mu, zero_load_latency(s)]
         row += [tables[k].loads[pos] for k in kinds]
         rows.append(row)
-        print(" ".join(f"{v if isinstance(v, int) else _fmt(v):>20}" for v in row))
-    if args.out:
-        _write_csv(args.out, header, rows)
-        print(f"wrote {args.out}")
+    _print_table(header, [20] * len(header), rows)
+    _save_csv(args, header, rows)
     return 0
 
 
@@ -196,9 +195,7 @@ def _cmd_worst(args) -> int:
     lam_s = _fmt(res.max.lam) if res.max.lam is not None else "the full-load limit"
     print(f"worst case: eta {_fmt(res.max.eta)} at {res.max.location}"
           + (f" (lam {lam_s})" if res.max.lam is not None else ""))
-    if args.out:
-        _write_csv(args.out, ["location", "lam", "rho", "eta"], rows)
-        print(f"wrote {args.out}")
+    _save_csv(args, ["location", "lam", "rho", "eta"], rows)
     return 0
 
 
@@ -206,7 +203,7 @@ def _sim_config(doc: ScenarioDocument, args, lam: float, p) -> SimulationConfig:
     base = doc.simulation if doc.simulation is not None else SimSettings()
     return SimulationConfig(
         lam=lam,
-        p=tuple(float(q) for q in p),
+        p=p,
         horizon_jobs=args.jobs if args.jobs is not None else base.horizon_jobs,
         warmup=base.warmup,
         seed=args.seed if args.seed is not None else base.seed,
@@ -235,18 +232,13 @@ def _cmd_simulate(args) -> int:
     print(f"analytic mean latency:  {_fmt(result.mean_latency)} s")
     header = ["server", "p", "mean_latency_s", "mean_sojourn_s", "utilization",
               "completed", "arrival_rate", "latency_ci_s"]
-    print(" ".join(f"{h:>15}" for h in header))
-    rows = []
-    for i, st in enumerate(report.per_server):
-        row = [i, float(result.p[i]), st.mean_latency, st.mean_sojourn, st.utilization,
-               st.completed, st.arrival_rate, st.latency_ci]
-        rows.append(row)
-        print(" ".join(f"{v if isinstance(v, int) else _fmt(v):>15}" for v in row))
+    rows = [[i, float(result.p[i]), st.mean_latency, st.mean_sojourn, st.utilization,
+             st.completed, st.arrival_rate, st.latency_ci]
+            for i, st in enumerate(report.per_server)]
+    _print_table(header, [15] * len(header), rows)
     rows.append(["all", "", report.mean_latency, report.mean_sojourn, report.utilization,
                  report.completed, "", report.latency_ci])
-    if args.out:
-        _write_csv(args.out, header, rows)
-        print(f"wrote {args.out}")
+    _save_csv(args, header, rows)
     return 0
 
 
@@ -255,11 +247,8 @@ def _cmd_validate(args) -> int:
     sc = doc.scenario
     lam = _resolve_load(sc, args)
     kind = AllocationKind(args.kind)
-    sim_defaults = doc.simulation if doc.simulation is not None else SimSettings()
-    probe = _sim_config(doc, args, lam, [1.0] + [0.0] * (len(sc.servers) - 1))
-    cfg = SimulationConfig(lam=lam, p=probe.p, horizon_jobs=probe.horizon_jobs,
-                           warmup=sim_defaults.warmup, seed=probe.seed,
-                           replications=probe.replications)
+    # validate routes by the split it solves; this placeholder only has to be valid
+    cfg = _sim_config(doc, args, lam, [1.0] + [0.0] * (len(sc.servers) - 1))
     record = validate(sc, lam, kind, cfg, tolerance=args.tolerance)
     print(f"kind: {kind.value}    load: {_fmt(lam)} jobs/s")
     print(f"analytic latency:  {_fmt(record.analytic_latency)} s")
@@ -270,9 +259,12 @@ def _cmd_validate(args) -> int:
     return 0 if record.passed else 5
 
 
-def _add_common(sub: argparse.ArgumentParser, load: bool = True) -> None:
+def _add_command(subs, name: str, func, help_text: str, load: bool = True):
+    """A subcommand with the scenario, --resolution, --out and (if load) load flags."""
+    sub = subs.add_parser(name, help=help_text)
+    sub.set_defaults(func=func)
     sub.add_argument("scenario", help="path to a scenario file")
-    sub.add_argument("--resolution", type=float, default=None,
+    sub.add_argument("--resolution", type=_resolution, default=None,
                      help="override the solver's numerical resolution")
     sub.add_argument("--out", default=None, help="write results as CSV to this path")
     if load:
@@ -281,6 +273,22 @@ def _add_common(sub: argparse.ArgumentParser, load: bool = True) -> None:
                            help="absolute arrival rate, jobs/second")
         group.add_argument("--rho", type=float, default=None,
                            help="normalized load, fraction of total capacity")
+    return sub
+
+
+def _add_kind(sub: argparse.ArgumentParser, choices=("optimal", "nep"), default="optimal") -> None:
+    sub.add_argument("--kind", choices=list(choices), default=default)
+
+
+def _add_delay_mode(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--delay-mode", choices=[m.value for m in DelayMode],
+                     default=DelayMode.WITH_DELAYS.value)
+
+
+def _add_simulation(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--jobs", type=int, default=None, help="jobs per replication")
+    sub.add_argument("--reps", type=int, default=None, help="number of replications")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,54 +298,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    solve = subs.add_parser("solve", help="compute one allocation at one load")
-    _add_common(solve)
-    solve.add_argument("--kind", choices=["optimal", "nep"], default="optimal")
-    solve.add_argument("--delay-mode", choices=[m.value for m in DelayMode],
-                       default=DelayMode.WITH_DELAYS.value)
-    solve.set_defaults(func=_cmd_solve)
+    solve = _add_command(subs, "solve", _cmd_solve, "compute one allocation at one load")
+    _add_kind(solve)
+    _add_delay_mode(solve)
 
-    nep = subs.add_parser("nep", help="shorthand for solve --kind nep")
-    _add_common(nep)
-    nep.add_argument("--delay-mode", choices=[m.value for m in DelayMode],
-                     default=DelayMode.WITH_DELAYS.value)
-    nep.set_defaults(func=lambda a: _cmd_solve(a, AllocationKind.NEP))
+    nep = _add_command(subs, "nep", _cmd_solve, "shorthand for solve --kind nep")
+    _add_delay_mode(nep)
+    nep.set_defaults(kind="nep")
 
-    thresholds = subs.add_parser("thresholds", help="per-server activation loads")
-    _add_common(thresholds, load=False)
-    thresholds.add_argument("--kind", choices=["optimal", "nep", "both"], default="both")
-    thresholds.set_defaults(func=_cmd_thresholds)
+    thresholds = _add_command(subs, "thresholds", _cmd_thresholds, "per-server activation loads",
+                              load=False)
+    _add_kind(thresholds, ("optimal", "nep", "both"), "both")
 
-    sweep = subs.add_parser("sweep", help="price of anarchy over a load grid (CSV)")
-    _add_common(sweep, load=False)
+    sweep = _add_command(subs, "sweep", _cmd_sweep, "price of anarchy over a load grid (CSV)",
+                         load=False)
     sweep.add_argument("--grid", type=_grid_spec, default=None, metavar="LO:HI:COUNT",
                        help="rho range, log-spaced in 1-rho (default 0.01:0.999:400)")
-    sweep.add_argument("--delay-mode", choices=[m.value for m in DelayMode],
-                       default=DelayMode.WITH_DELAYS.value)
-    sweep.set_defaults(func=_cmd_sweep)
+    _add_delay_mode(sweep)
 
-    worst = subs.add_parser("worst", help="worst-case price of anarchy over all loads")
-    _add_common(worst, load=False)
-    worst.set_defaults(func=_cmd_worst)
+    _add_command(subs, "worst", _cmd_worst, "worst-case price of anarchy over all loads",
+                 load=False)
 
-    sim = subs.add_parser("simulate", help="discrete-event simulation of a solved split")
-    _add_common(sim)
-    sim.add_argument("--kind", choices=["optimal", "nep"], default="optimal")
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--jobs", type=int, default=None, help="jobs per replication")
-    sim.add_argument("--reps", type=int, default=None, help="number of replications")
+    sim = _add_command(subs, "simulate", _cmd_simulate,
+                       "discrete-event simulation of a solved split")
+    _add_kind(sim)
+    _add_simulation(sim)
     sim.add_argument("--raw", default=None, help="write per-job samples as CSV to this path")
-    sim.set_defaults(func=_cmd_simulate)
 
-    val = subs.add_parser("validate", help="check solver output against simulation")
-    _add_common(val)
-    val.add_argument("--kind", choices=["optimal", "nep"], default="optimal")
-    val.add_argument("--seed", type=int, default=None)
-    val.add_argument("--jobs", type=int, default=None, help="jobs per replication")
-    val.add_argument("--reps", type=int, default=None, help="number of replications")
+    val = _add_command(subs, "validate", _cmd_validate, "check solver output against simulation")
+    _add_kind(val)
+    _add_simulation(val)
     val.add_argument("--tolerance", type=float, default=0.03,
                      help="relative gap allowed between analytic and empirical latency")
-    val.set_defaults(func=_cmd_validate)
 
     return parser
 
@@ -353,8 +345,7 @@ def main(argv=None) -> int:
     except InfeasibleLoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConvergenceError, InversionError, SaturationError, DomainError,
-            UnsupportedModelError, ValueError) as exc:
+    except (TaskAllocError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

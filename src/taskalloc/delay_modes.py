@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .latency import GenericLatencyModel, QueueModel, ServerSpec
+from .poa import PoaPoint
 from .solver import (
     AllocationKind,
     AllocationResult,
@@ -52,15 +53,12 @@ def transformed_scenarios(sc: Scenario, mode: DelayMode) -> tuple[Scenario, Scen
     """The (solve-on, evaluate-on) scenario pair for a delay mode."""
     if mode is DelayMode.WITH_DELAYS:
         return sc, sc
-    if mode is DelayMode.IGNORING_DELAYS:
-        zeroed = Scenario(tuple(_with_delay(s, 0.0) for s in sc.servers), sc.config)
-        return zeroed, sc
-    if mode is DelayMode.WITHOUT_DELAYS:
-        zeroed = Scenario(tuple(_with_delay(s, 0.0) for s in sc.servers), sc.config)
-        return zeroed, zeroed
-    mean_d = sum(s.d for s in sc.servers) / len(sc.servers)
-    uniform = Scenario(tuple(_with_delay(s, mean_d) for s in sc.servers), sc.config)
-    return uniform, uniform
+    if mode is DelayMode.UNIFORM_DELAYS:
+        mean_d = sum(s.d for s in sc.servers) / len(sc.servers)
+        uniform = Scenario(tuple(_with_delay(s, mean_d) for s in sc.servers), sc.config)
+        return uniform, uniform
+    zeroed = Scenario(tuple(_with_delay(s, 0.0) for s in sc.servers), sc.config)
+    return zeroed, (sc if mode is DelayMode.IGNORING_DELAYS else zeroed)
 
 
 @dataclass(frozen=True)
@@ -83,18 +81,7 @@ def solve_under_mode(sc: Scenario, lam: float, kind: AllocationKind, mode: Delay
     )
 
 
-@dataclass(frozen=True)
-class ModedPoaPoint:
-    lam: float
-    rho: float
-    eta: float
-    alpha: float
-    u_opt: float
-    j_opt: int
-    j_nep: int
-
-
-def poa_under_mode(sc: Scenario, lam: float, mode: DelayMode) -> ModedPoaPoint:
+def poa_under_mode(sc: Scenario, lam: float, mode: DelayMode) -> PoaPoint:
     """Price of anarchy with both splits solved under the mode.
 
     Both the equilibrium and the optimum come from the mode's solving
@@ -103,7 +90,7 @@ def poa_under_mode(sc: Scenario, lam: float, mode: DelayMode) -> ModedPoaPoint:
     """
     opt = solve_under_mode(sc, lam, AllocationKind.OPTIMAL, mode)
     nep = solve_under_mode(sc, lam, AllocationKind.NEP, mode)
-    return ModedPoaPoint(
+    return PoaPoint(
         lam=lam,
         rho=lam / sc.total_mu,
         eta=nep.evaluated_latency / opt.evaluated_latency,

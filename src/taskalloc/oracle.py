@@ -19,7 +19,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import ConvergenceError, InfeasibleLoadError
 from .latency import QueueModel, latency
-from .solver import Scenario, average_latency
+from .solver import Scenario
 
 
 @dataclass(frozen=True)
@@ -237,8 +237,3 @@ def check_no_profitable_deviation(
             if latency(s_b, x[b] + d_eff) < here - cfg.br_tolerance:
                 return False
     return True
-
-
-def oracle_average_latency(sc: Scenario, p, lam: float) -> float:
-    """Convenience re-export so verification code needs only this module."""
-    return average_latency(sc, p, lam)

@@ -38,6 +38,8 @@ GENERIC_LIMIT_RHO = 1.0 - 1e-6
 
 @dataclass(frozen=True)
 class PoaPoint:
+    """Price of anarchy at one load; ``alpha`` is the equilibrium's mean latency."""
+
     lam: float
     rho: float
     eta: float

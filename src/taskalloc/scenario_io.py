@@ -24,6 +24,7 @@ and every parse error names the offending location.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ScenarioParseError
@@ -74,13 +75,21 @@ def _check_keys(obj: dict, allowed: set, location: str) -> None:
         _require(key in allowed, f"unknown key '{key}'", f"{location}.{key}" if location else key)
 
 
+def _finite(value, location: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             "expected a number", location)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    _require(math.isfinite(value), "expected a finite number", location)
+    return value
+
+
 def _number(obj: dict, key: str, location: str, default=None):
     if key not in obj:
         return default
-    value = obj[key]
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             "expected a number", f"{location}.{key}")
-    return float(value)
+    return _finite(obj[key], f"{location}.{key}")
 
 
 def _integer(obj: dict, key: str, location: str, default=None):
@@ -135,11 +144,7 @@ def _parse_sweep(obj, location: str) -> SweepSpec:
         raw = obj["grid"]
         _require(isinstance(raw, list) and len(raw) > 0, "expected a non-empty array",
                  f"{location}.grid")
-        grid = []
-        for i, value in enumerate(raw):
-            _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                     "expected a number", f"{location}.grid[{i}]")
-            grid.append(float(value))
+        grid = [_finite(value, f"{location}.grid[{i}]") for i, value in enumerate(raw)]
         _require(all(b > a for a, b in zip(grid, grid[1:])) and grid[0] > 0,
                  "grid must be positive and strictly increasing", f"{location}.grid")
         return SweepSpec(grid=tuple(grid))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
@@ -94,14 +94,13 @@ def _rng(seed: int, rep: int, purpose: int) -> np.random.Generator:
 
 
 def _service_times(s: ServerSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    if s.model is QueueModel.MM1:
-        return rng.exponential(1.0 / s.mu, size=count)
-    if s.model is QueueModel.MD1 or s.cv == 0.0:
+    if s.model is QueueModel.GENERIC:
+        raise UnsupportedModelError("generic latency models define no service distribution")
+    if s.cv == 0.0:
         return np.full(count, 1.0 / s.mu)
-    if s.model is QueueModel.MG1:
-        shape = 1.0 / (s.cv * s.cv)
-        return rng.gamma(shape, s.cv * s.cv / s.mu, size=count)
-    raise UnsupportedModelError("generic latency models define no service distribution")
+    # gamma with shape 1 draws exactly what rng.exponential(1/mu) would
+    shape = 1.0 / (s.cv * s.cv)
+    return rng.gamma(shape, s.cv * s.cv / s.mu, size=count)
 
 
 def _one_replication(sc: Scenario, cfg: SimulationConfig, rep: int):
@@ -233,18 +232,8 @@ def validate(
     """Compare a solver's predicted latency against a simulation of its split."""
     solver = solve_optimal if kind is AllocationKind.OPTIMAL else solve_nep
     result = solver(sc, lam)
-    if cfg is None:
-        cfg = SimulationConfig(lam=lam, p=tuple(result.p))
-    else:
-        cfg = SimulationConfig(
-            lam=lam,
-            p=tuple(result.p),
-            horizon_jobs=cfg.horizon_jobs,
-            warmup=cfg.warmup,
-            seed=cfg.seed,
-            replications=cfg.replications,
-            raw_samples_path=cfg.raw_samples_path,
-        )
+    p = tuple(result.p)
+    cfg = SimulationConfig(lam=lam, p=p) if cfg is None else replace(cfg, lam=lam, p=p)
     report = simulate(sc, cfg)
     gap = abs(report.mean_latency - result.mean_latency) / result.mean_latency
     return ValidationRecord(

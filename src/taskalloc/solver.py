@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleLoadError, InversionError
+from .errors import DomainError, InfeasibleLoadError, InversionError, SaturationError
 from .latency import (
     DEFAULT_RESOLUTION,
     EPS_SAT,
@@ -51,6 +51,12 @@ class AllocationKind(str, Enum):
 class SolverConfig:
     resolution: float = DEFAULT_RESOLUTION
     eps_sat: float = EPS_SAT
+
+    def __post_init__(self):
+        if not (0.0 < self.resolution < math.inf):
+            raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
+        if not (0.0 < self.eps_sat < 1.0):
+            raise ValueError(f"eps_sat must be in (0, 1), got {self.eps_sat}")
 
 
 @dataclass(frozen=True)
@@ -124,11 +130,9 @@ def _invert_or_zero(s: ServerSpec, kind: AllocationKind, target: float, cfg: Sol
     inv = invert_marginal if kind is AllocationKind.OPTIMAL else invert_latency
     try:
         return inv(s, target, cfg.resolution, cfg.eps_sat)
-    except Exception as exc:
-        # only the generic numeric path can fail here, at saturation
-        if s.model is QueueModel.GENERIC:
-            return s.mu * (1.0 - cfg.eps_sat)
-        raise InversionError(str(exc)) from exc
+    except SaturationError:
+        # only the generic numeric path saturates; any other error is a fault
+        return s.mu * (1.0 - cfg.eps_sat)
 
 
 def activation_thresholds(sc: Scenario, kind: AllocationKind) -> ThresholdTable:

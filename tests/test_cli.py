@@ -1,8 +1,10 @@
 """Command-line interface: commands, flags, CSV schemas, exit codes."""
 
 import csv
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -156,6 +158,18 @@ def test_exit_codes(toy_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "horizon" in err
 
+    # non-finite numbers in the file are parse errors, not NaN answers
+    for servers, solver in [
+        ([{"d_ms": 0, "mu": 2}, {"d_ms": 0, "mu": math.inf}], None),
+        ([{"d_ms": 0, "mu": 2}, {"d_ms": 0, "mu": 1, "cv": math.inf, "model": "mg1"}], None),
+        (TOY["servers"], {"resolution": math.inf}),
+    ]:
+        doc = dict(TOY, servers=servers, **({"solver": solver} if solver else {}))
+        nonfinite = tmp_path / "nonfinite.json"
+        nonfinite.write_text(json.dumps(doc))
+        assert main(["solve", str(nonfinite), "--load", "5"]) == 2
+        assert "expected a finite number" in capsys.readouterr().err
+
     with pytest.raises(SystemExit) as exc:
         main(["sweep", toy_file, "--grid", "nonsense"])
     assert exc.value.code == 2
@@ -175,3 +189,89 @@ def test_resolution_override(toy_file, capsys):
     assert main(["solve", toy_file, "--load", "1", "--resolution", "1e-6"]) == 0
     coarse = capsys.readouterr().out
     assert "active servers: 2 of 2" in coarse
+
+    # rejected as in the scenario file; nan would never end the multiplier bisection
+    for bad in ("nan", "inf", "0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", toy_file, "--load", "1", "--resolution", bad])
+        assert exc.value.code == 2
+        assert "--resolution: expected a finite number > 0" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
+GOLDEN_COMMANDS = [
+    ["solve", "{scenario}", "--rho", "0.8", "--out", "{out}"],
+    ["nep", "{scenario}", "--rho", "0.97", "--delay-mode", "ignoring_delays", "--out", "{out}"],
+    ["thresholds", "{scenario}", "--out", "{out}"],
+    ["worst", "{scenario}", "--out", "{out}"],
+    ["sweep", "{scenario}", "--grid", "0.05:0.95:12", "--out", "{out}"],
+    ["sweep", "{scenario}", "--grid", "0.05:0.95:12", "--delay-mode", "ignoring_delays",
+     "--out", "{out}"],
+    ["simulate", "{scenario}", "--rho", "0.5", "--jobs", "4000", "--reps", "2", "--seed", "3",
+     "--out", "{out}"],
+    ["validate", "{scenario}", "--rho", "0.5", "--jobs", "4000", "--reps", "2", "--seed", "3",
+     "--tolerance", "1"],
+]
+
+
+def _golden_run(argv_template, scenario: Path, out: Path) -> dict:
+    """Exit code, stdout, stderr and CSV text of one in-process CLI run."""
+    argv = [a.format(scenario=scenario, out=out) for a in argv_template]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+
+    def normalize(text):
+        return text.replace(str(out), "{out}").replace(str(scenario), "{scenario}")
+
+    return {
+        "exit": code,
+        "stdout": normalize(stdout.getvalue()),
+        "stderr": normalize(stderr.getvalue()),
+        "csv": out.read_bytes().decode() if out.exists() else None,
+    }
+
+
+def _golden_outputs(tmp_dir: Path) -> dict:
+    outputs = {}
+    out = tmp_dir / "out.csv"
+    for scenario in sorted(SCENARIOS.glob("*.json")):
+        for template in GOLDEN_COMMANDS:
+            out.unlink(missing_ok=True)
+            key = " ".join([scenario.name if a == "{scenario}" else a for a in template])
+            outputs[key] = _golden_run(template, scenario, out)
+    return outputs
+
+
+def test_golden_output_on_bundled_scenarios(tmp_path):
+    """Every byte the CLI prints or writes on the bundled scenarios is pinned.
+
+    The golden file holds exit code, stdout, stderr and CSV text of each
+    command in GOLDEN_COMMANDS on each bundled scenario, with the
+    scenario and CSV paths replaced by placeholders.  A refactor must
+    leave all of it unchanged.  Regenerating the file
+    (``PYTHONPATH=src python tests/test_cli.py``) is a deliberate change
+    of program output and must be recorded, with its reason, in
+    CHANGES.md.
+    """
+    expected = json.loads(GOLDEN.read_text())
+    actual = _golden_outputs(tmp_path)
+    assert sorted(actual) == sorted(expected)
+    differing = [
+        f"{key}: {field}"
+        for key in expected
+        for field in expected[key]
+        if actual[key][field] != expected[key][field]
+    ]
+    assert differing == []
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text(json.dumps(_golden_outputs(Path(tmp)), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -149,6 +149,11 @@ def test_server_spec_validation():
         ServerSpec(d=0.0, mu=0.0)
     with pytest.raises(ValueError):
         ServerSpec(d=0.0, mu=1.0, cv=-1.0)
+    for bad in (dict(d=math.inf, mu=1.0), dict(d=0.0, mu=math.inf),
+                dict(d=0.0, mu=1.0, cv=math.inf, model=QueueModel.MG1),
+                dict(d=math.nan, mu=1.0), dict(d=0.0, mu=math.nan)):
+        with pytest.raises(ValueError):
+            ServerSpec(**bad)
     with pytest.raises(ValueError):
         ServerSpec(d=0.0, mu=1.0, cv=2.0, model=QueueModel.MM1)
     with pytest.raises(ValueError):

@@ -124,8 +124,24 @@ def test_unknown_keys_rejected_with_location(mutate, location):
     ({"format": "taskalloc-scenario/1", "servers": [{"d_ms": 1, "mu": 1, "cv": 2, "model": "mm1"}]},
      "cv"),
     ({"format": "taskalloc-scenario/1", "servers": [{"d_ms": 1, "mu": -1}]}, "mu"),
+    ({"format": "taskalloc-scenario/1", "servers": [{"d_ms": 1, "mu": math.inf}]},
+     "servers[0].mu: expected a finite number"),
+    ({"format": "taskalloc-scenario/1", "servers": [{"d_ms": 1, "mu": 10 ** 400}]},
+     "servers[0].mu: expected a finite number"),
+    ({"format": "taskalloc-scenario/1", "servers": [{"d_ms": 1, "mu": 1, "cv": math.inf}]},
+     "servers[0].cv: expected a finite number"),
+    ({"format": "taskalloc-scenario/1", "servers": [{"d_ms": math.nan, "mu": 1}]},
+     "servers[0].d_ms: expected a finite number"),
+    ({"format": "taskalloc-scenario/1", "servers": [{"d_ms": 1, "mu": 1}],
+      "solver": {"resolution": math.inf}}, "solver.resolution: expected a finite number"),
+    ({"format": "taskalloc-scenario/1", "servers": [{"d_ms": 1, "mu": 1}],
+      "simulation": {"warmup": math.nan}}, "simulation.warmup: expected a finite number"),
+    ({"format": "taskalloc-scenario/1", "servers": [{"d_ms": 1, "mu": 1}],
+      "sweep": {"grid": [0.5, math.inf]}}, "sweep.grid[1]: expected a finite number"),
 ], ids=["empty", "format", "no-servers", "empty-servers", "no-delay", "both-delays",
-        "no-mu", "bad-model", "generic-model", "model-cv-clash", "negative-mu"])
+        "no-mu", "bad-model", "generic-model", "model-cv-clash", "negative-mu",
+        "infinite-mu", "huge-integer-mu", "infinite-cv", "nan-delay", "infinite-resolution",
+        "nan-warmup", "infinite-grid-load"])
 def test_document_validation(doc, fragment):
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(json.dumps(doc))

@@ -19,6 +19,7 @@ from taskalloc import (
     validate,
 )
 
+from taskalloc.simulator import _rng, _service_times
 from test_latency import as_generic
 
 
@@ -123,6 +124,17 @@ def test_config_validation():
         SimulationConfig(lam=1.0, p=(0.7, 0.2))
     with pytest.raises(DomainError):
         SimulationConfig(lam=1.0, p=(1.2, -0.2))
+
+
+def test_exponential_service_is_gamma_of_shape_one():
+    """The simulator draws M/M/1 service as gamma(1, 1/mu); pin that it is
+    bit-equal to rng.exponential(1/mu) from the same substream."""
+    for seed in (0, 7, 12345):
+        for mu in (0.3, 1.0, 9.0, 250.0):
+            s = ServerSpec.mm1(0.01, mu)
+            got = _service_times(s, 20_000, _rng(seed, 1, 2))
+            expected = _rng(seed, 1, 2).exponential(1.0 / mu, size=20_000)
+            assert np.array_equal(got, expected)
 
 
 def test_generic_model_unsupported(toy):

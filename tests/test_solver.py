@@ -10,6 +10,7 @@ from taskalloc import (
     InfeasibleLoadError,
     Scenario,
     ServerSpec,
+    SolverConfig,
     activation_thresholds,
     average_latency,
     latency,
@@ -242,3 +243,28 @@ def test_generic_solve_matches_closed_form():
 def test_scenario_requires_servers():
     with pytest.raises(ValueError):
         Scenario(())
+
+
+@pytest.mark.parametrize("bad", [
+    dict(resolution=0.0), dict(resolution=-1e-12), dict(resolution=math.inf),
+    dict(resolution=math.nan), dict(eps_sat=0.0), dict(eps_sat=1.0), dict(eps_sat=math.nan),
+])
+def test_solver_config_validation(bad):
+    with pytest.raises(ValueError):
+        SolverConfig(**bad)
+
+
+def test_faulty_generic_curve_is_not_read_as_saturation():
+    """An exception inside a user curve propagates; it is not a saturated server."""
+
+    def buggy_latency(x):
+        if x > 1.5:
+            raise ZeroDivisionError("bug in the user curve")
+        return 1.0 / (2.0 - x)
+
+    faulty = ServerSpec.from_functions(0.0, 2.0, buggy_latency, lambda x: 1.0 / (2.0 - x) ** 2)
+    sc = Scenario((faulty, ServerSpec.mm1(0.0, 1.0)))
+    # the true split activates the second server at lam = 1; a fault read as
+    # saturation would put that threshold at 2 and return p = [1, 0]
+    with pytest.raises(ZeroDivisionError):
+        solve_nep(sc, 1.2)
