@@ -23,7 +23,7 @@ import numpy as np
 from .delay_modes import DelayMode, poa_under_mode, solve_under_mode, transformed_scenarios
 from .errors import InfeasibleLoadError, ScenarioParseError, TaskAllocError
 from .latency import latency, zero_load_latency
-from .poa import default_grid, poa_at, worst_case_poa
+from .poa import default_grid, poa_points, worst_case_poa
 from .scenario_io import ScenarioDocument, SimSettings, load_scenario_file
 from .simulator import SimulationConfig, simulate, validate
 from .solver import AllocationKind, Scenario, activation_thresholds, solve_nep, solve_optimal
@@ -165,13 +165,10 @@ def _cmd_sweep(args) -> int:
     sc = doc.scenario
     mode = DelayMode(args.delay_mode)
     grid = _sweep_grid(sc, doc, args)
-    rows = []
-    for lam in grid:
-        lam = float(lam)
-        point = (poa_at(sc, lam) if mode is DelayMode.WITH_DELAYS
-                 else poa_under_mode(sc, lam, mode))
-        rows.append([point.lam, point.rho, point.u_opt, point.alpha, point.eta,
-                     point.j_opt, point.j_nep])
+    points = (poa_points(sc, grid) if mode is DelayMode.WITH_DELAYS
+              else [poa_under_mode(sc, float(lam), mode) for lam in grid])
+    rows = [[point.lam, point.rho, point.u_opt, point.alpha, point.eta, point.j_opt, point.j_nep]
+            for point in points]
     _write_csv(args.out, ["lam", "rho", "u_opt", "alpha", "eta", "j_opt", "j_nep"], rows)
     if args.out:
         best = max(rows, key=lambda r: r[4])

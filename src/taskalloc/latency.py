@@ -37,6 +37,12 @@ class QueueModel(str, Enum):
     GENERIC = "generic"
 
 
+# Looking a member up on the enum class costs about 0.1 us, which the curve
+# functions below would pay on every call.
+_MM1 = QueueModel.MM1
+_GENERIC = QueueModel.GENERIC
+
+
 @dataclass(frozen=True)
 class GenericLatencyModel:
     """User-supplied latency curve and its analytic derivative.
@@ -118,38 +124,25 @@ def _check_rate(s: ServerSpec, x: float) -> None:
 def latency(s: ServerSpec, x: float) -> float:
     """Mean latency l(x) of server ``s`` under offered rate ``x``."""
     _check_rate(s, x)
-    if s.model is QueueModel.MM1:
-        return s.d + 1.0 / (s.mu - x)
-    if s.model is QueueModel.GENERIC:
+    if s.model is _GENERIC:
         return s.generic.latency_fn(x)
-    a = 0.5 * (1.0 + s.cv * s.cv)
-    return s.d + (1.0 + a * x / (s.mu - x)) / s.mu
+    return closed_latency(s, x)
 
 
 def latency_slope(s: ServerSpec, x: float) -> float:
     """First derivative l'(x), seconds per (jobs/second)."""
     _check_rate(s, x)
-    if s.model is QueueModel.MM1:
-        g = s.mu - x
-        return 1.0 / (g * g)
-    if s.model is QueueModel.GENERIC:
+    if s.model is _GENERIC:
         return s.generic.derivative_fn(x)
-    a = 0.5 * (1.0 + s.cv * s.cv)
-    g = s.mu - x
-    return a / (g * g)
+    return closed_slope(s, x)
 
 
 def marginal_cost(s: ServerSpec, x: float) -> float:
     """Marginal cost h(x) = l(x) + x * l'(x); equals l(0) at x=0."""
     _check_rate(s, x)
-    if s.model is QueueModel.MM1:
-        g = s.mu - x
-        return s.d + s.mu / (g * g)
-    if s.model is QueueModel.GENERIC:
+    if s.model is _GENERIC:
         return s.generic.latency_fn(x) + x * s.generic.derivative_fn(x)
-    a = 0.5 * (1.0 + s.cv * s.cv)
-    g = s.mu - x
-    return s.d + (1.0 + a * (2.0 * s.mu - x) * x / (g * g)) / s.mu
+    return closed_marginal_cost(s, x)
 
 
 def invert_latency(
@@ -159,15 +152,11 @@ def invert_latency(
     eps_sat: float = EPS_SAT,
 ) -> float:
     """Rate x with l(x) = target.  Requires target > l(0)."""
-    if target <= zero_load_latency(s):
+    if target <= s.d + 1.0 / s.mu:  # zero_load_latency(s), inlined on this hot path
         raise DomainError(f"target {target} not above the zero-load latency {zero_load_latency(s)}")
-    if s.model is QueueModel.MM1:
-        return s.mu - 1.0 / (target - s.d)
-    if s.model is QueueModel.GENERIC:
+    if s.model is _GENERIC:
         return _bisect_rate(s.generic.latency_fn, target, s.mu * (1.0 - eps_sat), resolution)
-    a = 0.5 * (1.0 + s.cv * s.cv)
-    w = s.mu * (target - s.d) - 1.0
-    return s.mu * w / (a + w)
+    return closed_invert_latency(s, target)
 
 
 def invert_marginal(
@@ -177,17 +166,59 @@ def invert_marginal(
     eps_sat: float = EPS_SAT,
 ) -> float:
     """Rate x with h(x) = target.  Requires target > h(0) = l(0)."""
-    if target <= zero_load_latency(s):
+    if target <= s.d + 1.0 / s.mu:  # zero_load_latency(s), inlined on this hot path
         raise DomainError(f"target {target} not above the zero-load marginal cost {zero_load_latency(s)}")
-    if s.model is QueueModel.MM1:
-        return s.mu - math.sqrt(s.mu / (target - s.d))
-    if s.model is QueueModel.GENERIC:
+    if s.model is _GENERIC:
         fn = s.generic.latency_fn
         fd = s.generic.derivative_fn
         return _bisect_rate(lambda x: fn(x) + x * fd(x), target, s.mu * (1.0 - eps_sat), resolution)
+    return closed_invert_marginal(s, target)
+
+
+# The closed-form family.  Each formula below takes a float or a float64 array
+# (one slot per load) and, given a float or a slot, performs the same
+# floating-point operations in the same order, so the scalar solver and the
+# lockstep one in solver.py agree bit for bit.  Callers check the domain:
+# rates in [0, mu), inversion targets above the zero-load latency.
+
+def closed_latency(s: ServerSpec, x):
+    if s.model is _MM1:
+        return s.d + 1.0 / (s.mu - x)
+    a = 0.5 * (1.0 + s.cv * s.cv)
+    return s.d + (1.0 + a * x / (s.mu - x)) / s.mu
+
+
+def closed_slope(s: ServerSpec, x):
+    g = s.mu - x
+    if s.model is _MM1:
+        return 1.0 / (g * g)
+    a = 0.5 * (1.0 + s.cv * s.cv)
+    return a / (g * g)
+
+
+def closed_marginal_cost(s: ServerSpec, x):
+    g = s.mu - x
+    if s.model is _MM1:
+        return s.d + s.mu / (g * g)
+    a = 0.5 * (1.0 + s.cv * s.cv)
+    return s.d + (1.0 + a * (2.0 * s.mu - x) * x / (g * g)) / s.mu
+
+
+def closed_invert_latency(s: ServerSpec, target):
+    if s.model is _MM1:
+        return s.mu - 1.0 / (target - s.d)
     a = 0.5 * (1.0 + s.cv * s.cv)
     w = s.mu * (target - s.d) - 1.0
-    return s.mu * (1.0 - 1.0 / math.sqrt(1.0 + w / a))
+    return s.mu * w / (a + w)
+
+
+def closed_invert_marginal(s: ServerSpec, target, sqrt=math.sqrt):
+    """``sqrt`` is math.sqrt for a float target, numpy.sqrt for an array (both round correctly)."""
+    if s.model is _MM1:
+        return s.mu - sqrt(s.mu / (target - s.d))
+    a = 0.5 * (1.0 + s.cv * s.cv)
+    w = s.mu * (target - s.d) - 1.0
+    return s.mu * (1.0 - 1.0 / sqrt(1.0 + w / a))
 
 
 def _bisect_rate(fn, target: float, hi: float, resolution: float) -> float:

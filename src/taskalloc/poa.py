@@ -14,6 +14,12 @@ criterion 6 and the worst-case dominance checks confirm it on sampled
 scenarios.  The curve need not be convex on a segment; see
 tests/test_poa.py::test_convexity_can_fail_between_activations for a
 pinned counterexample.
+
+A sweep over a grid of loads solves a closed-form scenario in lockstep
+(``solver.solve_lockstep``): every load of the grid takes the scalar
+solver's floating-point steps at once, so each point is bit-identical to
+``poa_at``.  Generic scenarios, and the delay-mode sweeps of
+``delay_modes.poa_under_mode``, are solved one load at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .solver import (
     AllocationKind,
     Scenario,
     activation_thresholds,
+    solve_lockstep,
     solve_nep,
     solve_optimal,
 )
@@ -101,7 +108,31 @@ def poa_sweep(sc: Scenario, grid) -> PoaCurve:
         raise ValueError("grid must be a non-empty 1-d sequence of arrival rates")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing")
-    return PoaCurve(points=tuple(poa_at(sc, float(lam)) for lam in grid))
+    return PoaCurve(points=poa_points(sc, grid))
+
+
+def poa_points(sc: Scenario, grid) -> tuple[PoaPoint, ...]:
+    """``poa_at`` at each load of ``grid``, in grid order, bit for bit.
+
+    A closed-form scenario is solved in lockstep, both kinds over the whole
+    grid at once.  The loads the lockstep solve cannot vouch for, and every
+    load of a generic scenario, go through ``poa_at``, so an error is the
+    one ``poa_at`` raises at the first load that fails.
+    """
+    lams = [float(lam) for lam in grid]
+    if sc.has_generic():
+        return tuple(poa_at(sc, lam) for lam in lams)
+    loads = np.array(lams)
+    _, u_opt, j_opt, opt_ok = solve_lockstep(sc, loads, AllocationKind.OPTIMAL)
+    alpha, u_nep, j_nep, nep_ok = solve_lockstep(sc, loads, AllocationKind.NEP)
+    total_mu = sc.total_mu
+    columns = zip(lams, (opt_ok & nep_ok).tolist(), alpha.tolist(), u_nep.tolist(),
+                  u_opt.tolist(), j_opt.tolist(), j_nep.tolist())
+    return tuple(
+        PoaPoint(lam=lam, rho=lam / total_mu, eta=un / uo, alpha=a, u_opt=uo, j_opt=jo, j_nep=jn)
+        if ok else poa_at(sc, lam)
+        for lam, ok, a, un, uo, jo, jn in columns
+    )
 
 
 def asymptotic_poa(sc: Scenario) -> float:

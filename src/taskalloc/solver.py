@@ -27,12 +27,17 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleLoadError, InversionError, SaturationError
+from .errors import ConvergenceError, DomainError, InfeasibleLoadError, InversionError, SaturationError
 from .latency import (
     DEFAULT_RESOLUTION,
     EPS_SAT,
     QueueModel,
     ServerSpec,
+    closed_invert_latency,
+    closed_invert_marginal,
+    closed_latency,
+    closed_marginal_cost,
+    closed_slope,
     invert_latency,
     invert_marginal,
     latency,
@@ -40,6 +45,8 @@ from .latency import (
     marginal_cost,
     zero_load_latency,
 )
+
+SIMPLEX_TOL = 1e-9  # largest |sum(p) - 1| accepted for a split
 
 
 class AllocationKind(str, Enum):
@@ -125,7 +132,7 @@ def sort_servers(sc: Scenario) -> tuple[int, ...]:
 
 def _invert_or_zero(s: ServerSpec, kind: AllocationKind, target: float, cfg: SolverConfig) -> float:
     """Rate at which the server's curve reaches ``target``, 0 if never below it."""
-    if target <= zero_load_latency(s):
+    if target <= s.d + 1.0 / s.mu:  # zero_load_latency(s), inlined on this hot path
         return 0.0
     inv = invert_marginal if kind is AllocationKind.OPTIMAL else invert_latency
     try:
@@ -155,10 +162,13 @@ def activation_thresholds(sc: Scenario, kind: AllocationKind) -> ThresholdTable:
     return ThresholdTable(kind=kind, order=order, loads=tuple(loads))
 
 
-def _inverse_slope(s: ServerSpec, kind: AllocationKind, x: float) -> float:
-    """d(inverse curve)/d(target) at the point where the curve equals the target."""
+def _inverse_slope(s: ServerSpec, kind: AllocationKind, x, slope=latency_slope):
+    """d(inverse curve)/d(target) at the point where the curve equals the target.
+
+    ``x`` is a float, or an array of rates with ``slope=closed_slope``.
+    """
     if kind is AllocationKind.NEP:
-        return 1.0 / latency_slope(s, x)
+        return 1.0 / slope(s, x)
     # h'(x) = 2 a mu / (mu - x)^3 for the closed-form queue family
     a = 0.5 * (1.0 + s.cv * s.cv)
     g = s.mu - x
@@ -215,7 +225,8 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
             # the +resolution shift overshot an extremely sharp curve
             lo = zero_load_latency(active[-1])
         mult = _bisect_multiplier(remaining, lo, hi, cfg.resolution)
-        if not sc.has_generic():
+        closed = not sc.has_generic()
+        if closed:
             # Newton polish to push the normalization residual to rounding level
             for _ in range(3):
                 x_now = [_invert_or_zero(s, kind, mult, cfg) for s in active]
@@ -232,6 +243,15 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
         rates = [_invert_or_zero(s, kind, mult, cfg) for s in active]
         p_sorted[:j] = np.asarray(rates) / lam
         mean = float(sum(q * latency(s, r) for q, s, r in zip(p_sorted[:j], active, rates)))
+        # The Newton polish leaves a closed-form split exact to rounding, except
+        # where the multiplier's resolution (or last bit) outweighs the load, and
+        # at rare loads just above an activation threshold where the polish stops
+        # early.  Generic splits keep the bisection's resolution-sized error.
+        if closed and abs(sum(rates) - lam) > SIMPLEX_TOL * lam:
+            raise ConvergenceError(
+                f"the {kind.value} split of arrival rate {lam} sums to {sum(rates) / lam!r}, "
+                f"not 1: the multiplier could not be resolved finely enough at this load"
+            )
 
     p = np.zeros(n)
     p[list(order)] = p_sorted
@@ -262,6 +282,129 @@ def _bisect_multiplier(residual, lo: float, hi: float, resolution: float) -> flo
             return 0.5 * (lo + hi)
 
 
+def solve_lockstep(sc: Scenario, lams: np.ndarray, kind: AllocationKind):
+    """``_solve`` on every load of ``lams`` at once, for a closed-form scenario.
+
+    Each load has one array slot, and every slot goes through the scalar
+    path's floating-point operations and branches in the same order.  Sums
+    over servers run in activation order from 0 and add an exact 0.0 for a
+    server that is idle or inactive at that load, so a slot's multiplier,
+    mean latency and active count are bit-identical to ``_solve``'s.
+
+    Returns the arrays (multiplier, mean_latency, active_count, ok).  ``ok``
+    is False where ``_solve`` raises or might raise: loads outside
+    (0, load_cap], a failed bracket, a rate outside a server's stable
+    region, a non-finite value or a split near the simplex tolerance.
+    Solve those loads per point.
+    """
+    table = activation_thresholds(sc, kind)
+    servers = [sc.servers[i] for i in table.order]
+    s = servers[0]
+    # strict comparison, as in _solve
+    j = np.count_nonzero(np.asarray(table.loads)[None, :] < lams[:, None], axis=1)
+    ok = (lams > 0.0) & (lams <= sc.load_cap)
+    mult = np.zeros(lams.shape)
+    mean = np.zeros(lams.shape)
+    with np.errstate(all="ignore"):
+        one = np.flatnonzero(ok & (j == 1))
+        x = lams[one]
+        mult[one] = closed_marginal_cost(s, x) if kind is AllocationKind.OPTIMAL else closed_latency(s, x)
+        mean[one] = closed_latency(s, x)
+        ok[one] = x < s.mu
+        many = np.flatnonzero(ok & (j > 1))
+        mult[many], mean[many], bad = _lockstep_active(servers, lams[many], j[many], kind, sc.config)
+        ok[many] = ~bad
+    return mult, mean, j, ok
+
+
+def _lockstep_active(servers, lam, j, kind, cfg):
+    """The j > 1 branch of ``_solve`` on loads ``lam``: (multiplier, mean, bad)."""
+    n = len(servers)
+    z0 = np.array([zero_load_latency(s) for s in servers])
+    active = [k < j for k in range(n)]
+    every = np.arange(lam.size)
+    bad = np.zeros(lam.size, dtype=bool)
+
+    def rates(t, sel):
+        """_invert_or_zero of each server at targets ``t``, 0.0 where it is inactive."""
+        out = []
+        for k, s in enumerate(servers):
+            if kind is AllocationKind.OPTIMAL:
+                x = closed_invert_marginal(s, t, np.sqrt)
+            else:
+                x = closed_invert_latency(s, t)
+            out.append(np.where(active[k][sel] & (t > z0[k]), x, 0.0))
+        return out
+
+    def remaining(t, sel):
+        r = sum(rates(t, sel)) - lam[sel]
+        bad[sel] |= ~np.isfinite(r)
+        return r
+
+    last = z0[j - 1]
+    lo = last + cfg.resolution
+    hi = z0[np.minimum(j, n - 1)]
+    grow_sel = np.flatnonzero(j == n)
+    hi[grow_sel] = 2.0 * z0[n - 1]
+    grow = 0
+    while grow_sel.size:
+        grow_sel = grow_sel[remaining(hi[grow_sel], grow_sel) < 0.0]
+        hi[grow_sel] *= 2.0
+        grow += 1
+        if grow > 200:
+            bad[grow_sel] = True
+            break
+    shift = remaining(lo, every) > 0.0
+    lo[shift] = last[shift]
+
+    # _bisect_multiplier, each slot stopping at its own return
+    mult = np.empty(lam.size)
+    top = remaining(hi, every) < 0.0
+    mult[top] = hi[top]
+    sel = np.flatnonzero(~top)
+    a, b = lo[sel], hi[sel]
+    while sel.size:
+        mid = 0.5 * (a + b)
+        stop = (mid <= a) | (mid >= b)
+        mult[sel[stop]] = mid[stop]
+        go = ~stop
+        sel, a, b, mid = sel[go], a[go], b[go], mid[go]
+        below = remaining(mid, sel) < 0.0
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+        stop = b - a <= cfg.resolution
+        mult[sel[stop]] = 0.5 * (a[stop] + b[stop])
+        go = ~stop
+        sel, a, b = sel[go], a[go], b[go]
+
+    # Newton polish; a slot leaves at its own break
+    sel = every
+    for _ in range(3):
+        t = mult[sel]
+        xs = rates(t, sel)
+        slope = 0
+        for s, x in zip(servers, xs):
+            used = x > 0.0
+            if kind is AllocationKind.NEP:
+                bad[sel] |= used & ~(x < s.mu)  # latency_slope's domain check
+            slope = slope + np.where(used, _inverse_slope(s, kind, x, closed_slope), 0.0)
+        r = sum(xs) - lam[sel]
+        bad[sel] |= ~np.isfinite(r)
+        nxt = t - r / slope
+        go = (slope > 0.0) & (lo[sel] <= nxt) & (nxt <= hi[sel])
+        sel = sel[go]
+        mult[sel] = nxt[go]
+
+    xs = rates(mult, every)
+    mean = 0
+    for k, (s, x) in enumerate(zip(servers, xs)):
+        bad |= active[k] & ~((0.0 <= x) & (x < s.mu))  # latency's domain check
+        mean = mean + np.where(active[k], x / lam * closed_latency(s, x), 0.0)
+    bad |= np.abs(sum(xs) - lam) > SIMPLEX_TOL * lam  # _solve's simplex check
+    bad |= ~(np.isfinite(mult) & np.isfinite(mean))
+    return mult, mean, bad
+
+
 def solve_optimal(sc: Scenario, lam: float) -> AllocationResult:
     """Latency-minimizing split of arrival rate ``lam`` (equalized marginal cost)."""
     return _solve(sc, lam, AllocationKind.OPTIMAL)
@@ -277,7 +420,7 @@ def average_latency(sc: Scenario, p, lam: float) -> float:
     p = np.asarray(p, dtype=float)
     if p.shape != (len(sc.servers),):
         raise DomainError(f"probability vector has shape {p.shape}, expected ({len(sc.servers)},)")
-    if np.any(p < -1e-12) or abs(float(p.sum()) - 1.0) > 1e-9:
+    if np.any(p < -1e-12) or abs(float(p.sum()) - 1.0) > SIMPLEX_TOL:
         raise DomainError("probability vector is not on the simplex")
     total = 0.0
     for q, s in zip(p, sc.servers):

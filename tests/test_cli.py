@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from taskalloc import default_grid, load_scenario_file, poa_at
 from taskalloc.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -114,6 +115,21 @@ def test_sweep_stdout_uses_file_grid(tmp_path, capsys):
     assert lines[0] == "lam,rho,u_opt,alpha,eta,j_opt,j_nep"
     lams = [float(line.split(",")[0]) for line in lines[1:]]
     assert lams == [0.5, 1.0, 1.5]
+
+
+def test_sweep_default_grid_is_poa_at_bit_for_bit(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    header = ["lam", "rho", "u_opt", "alpha", "eta", "j_opt", "j_nep"]
+    for path in sorted(SCENARIOS.glob("*.json")):
+        sc = load_scenario_file(str(path)).scenario
+        points = [poa_at(sc, float(lam)) for lam in default_grid(sc)]
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        writer.writerows([p.lam, p.rho, p.u_opt, p.alpha, p.eta, p.j_opt, p.j_nep] for p in points)
+        assert main(["sweep", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.getvalue().encode(), path.name
+    capsys.readouterr()
 
 
 def test_worst_output(toy_file, capsys):

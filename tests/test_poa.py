@@ -1,18 +1,25 @@
 """Price of anarchy: pointwise, swept, worst-case, and asymptotic."""
 
 import math
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskalloc import (
     AllocationKind,
+    ConvergenceError,
+    InfeasibleLoadError,
     Scenario,
     ServerSpec,
     UnsupportedModelError,
     activation_thresholds,
     asymptotic_poa,
     default_grid,
+    load_scenario_file,
     poa_at,
     poa_sweep,
     worst_case_poa,
@@ -191,3 +198,89 @@ def test_scenario2_ordering_property():
     grid = np.linspace(0.9, 1.1, 21) * tnep.loads[1]
     etas = [poa_at(sc, float(lam)).eta for lam in grid]
     assert all(b >= a - 1e-12 for a, b in zip(etas, etas[1:]))
+
+
+# --- lockstep sweeps: bit for bit what poa_at gives --------------------------
+
+BUNDLED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+TIED = Scenario((ServerSpec.mm1(0.01, 5.0), ServerSpec.mm1(0.01, 5.0), ServerSpec.mg1(0.05, 3.0, 2.0)))
+
+
+def _bits(points):
+    """Every field of every point: type and exact value (floats as hex)."""
+    return [tuple((type(v).__name__, v.hex() if isinstance(v, float) else v) for v in astuple(p))
+            for p in points]
+
+
+def _outcome(fn):
+    """The points' bits, or the type and message of the exception raised."""
+    try:
+        return _bits(fn())
+    except Exception as exc:  # any exception must be the same on both paths
+        return type(exc), str(exc)
+
+
+def _assert_lockstep_matches_poa_at(sc, grid):
+    per_point = _outcome(lambda: [poa_at(sc, float(lam)) for lam in grid])
+    assert _outcome(lambda: poa_sweep(sc, grid).points) == per_point
+
+
+def _threshold_grid(sc):
+    """Each OPT and NEP activation load, its float neighbours and load_cap, within (0, load_cap]."""
+    loads = {sc.load_cap}
+    for kind in AllocationKind:
+        for t in activation_thresholds(sc, kind).loads[1:]:
+            loads.update((np.nextafter(t, 0.0), t, np.nextafter(t, np.inf)))
+    return sorted(float(lam) for lam in loads if 0.0 < lam <= sc.load_cap)
+
+
+def test_lockstep_sweep_is_bit_identical_to_poa_at():
+    rng = np.random.default_rng(20261018)
+    scenarios = [load_scenario_file(path).scenario for path in BUNDLED] + [TIED]
+    scenarios += [random_scenario(rng, sizes=tuple(range(1, 10))) for _ in range(60)]
+    for i, sc in enumerate(scenarios):
+        # the full 400-point default grid on the bundled and tied scenarios only,
+        # to keep the per-point reference affordable
+        count = 400 if i <= len(BUNDLED) else 60
+        for grid in (default_grid(sc, count), default_grid(sc, 37, 0.2, 0.9999), _threshold_grid(sc)):
+            _assert_lockstep_matches_poa_at(sc, grid)
+
+
+def test_lockstep_sweep_errors_and_generic_scenarios_go_per_point(toy):
+    generic = Scenario((as_generic(SCENARIO1.servers[0]),) + SCENARIO1.servers[1:])
+    _assert_lockstep_matches_poa_at(generic, default_grid(generic, 40))
+    for sc, grid, error in (
+        (toy, [0.5, 1.0, 2.5, 2.9999999999], InfeasibleLoadError),  # above load_cap
+        (toy, [0.0, 1.0], InfeasibleLoadError),
+        (TIED, [1e-14, 1.0, 5.0], ConvergenceError),  # too small to resolve
+        (TIED, [1.0, 2.0, 1e9], InfeasibleLoadError),
+    ):
+        with pytest.raises(error):
+            poa_at(sc, next(lam for lam in grid if not 1e-9 < lam <= sc.load_cap))
+        _assert_lockstep_matches_poa_at(sc, grid)
+
+
+POOL = (
+    ServerSpec.mm1(0.01, 5.0),
+    ServerSpec.md1(0.01, 5.0),
+    ServerSpec.mg1(0.02, 8.0, 2.0),
+    ServerSpec.mm1(0.004, 40.0),
+    ServerSpec.mg1(0.0, 3.0, 0.5),
+    ServerSpec.md1(0.05, 60.0),
+)
+
+
+@st.composite
+def _scenario_and_grid(draw):
+    sc = Scenario(tuple(draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=6))))
+    fractions = draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=25))
+    # tied servers put a threshold at 0; its neighbour 5e-324 would make every
+    # such grid fail at its first load, so it is left to the tests above
+    near = draw(st.lists(st.sampled_from([t for t in _threshold_grid(sc) if t > 1e-3]), max_size=6))
+    return sc, sorted({f * sc.load_cap for f in fractions} | set(near))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(_scenario_and_grid())
+def test_lockstep_sweep_property(case):
+    _assert_lockstep_matches_poa_at(*case)

@@ -7,6 +7,7 @@ import pytest
 
 from taskalloc import (
     AllocationKind,
+    ConvergenceError,
     InfeasibleLoadError,
     Scenario,
     ServerSpec,
@@ -128,6 +129,25 @@ def test_infeasible_loads(toy):
             solve_optimal(toy, lam)
         with pytest.raises(InfeasibleLoadError):
             solve_nep(toy, lam)
+
+
+def test_tiny_loads_on_tied_servers_raise():
+    """Splits the multiplier cannot resolve raise instead of leaving the simplex.
+
+    At these loads the split used to come back with sum(p) from 0 to 1.07
+    (and 7.9e8 with the third server); from about 3e-7 jobs/s on it is exact.
+    """
+    tied = Scenario((ServerSpec.mm1(0.01, 5.0), ServerSpec.mm1(0.01, 5.0)))
+    for lam in (1e-16, 1e-14, 1e-12, 1e-10, 1e-9):
+        for solve in (solve_optimal, solve_nep):
+            with pytest.raises(ConvergenceError, match="could not be resolved"):
+                solve(tied, lam)
+    for solve in (solve_optimal, solve_nep):
+        res = solve(tied, 1e-4)
+        assert res.p == pytest.approx([0.5, 0.5], abs=1e-9)
+        assert abs(res.p.sum() - 1.0) <= 1e-9
+    with pytest.raises(ConvergenceError):
+        solve_optimal(Scenario(tied.servers + (ServerSpec.mg1(0.05, 3.0, 2.0),)), 1e-20)
 
 
 def test_results_reported_in_input_order():
