@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConvergenceError, InfeasibleLoadError
 from .latency import QueueModel, latency
@@ -100,6 +99,9 @@ def _refine(sc: Scenario, lam: float, p: np.ndarray, window: float) -> np.ndarra
     less than a rounding-level fraction, so the result is limited by
     the latency curves rather than by the grid step.
     """
+    # scipy costs ~1 s and ~70 MB to import and only this path needs it (see tests/test_startup.py)
+    from scipy.optimize import minimize_scalar
+
     u = _u_of(sc, lam)
     caps = _caps(sc)
     p = p.copy()

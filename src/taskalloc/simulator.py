@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError, UnsupportedModelError
 from .latency import QueueModel, ServerSpec
@@ -156,6 +155,9 @@ def _one_replication(sc: Scenario, cfg: SimulationConfig, rep: int):
 
 def _mean_ci(values: np.ndarray) -> tuple[float, float]:
     """Mean and 95% confidence half-width across replications, NaN-aware."""
+    # scipy costs ~1 s and ~70 MB to import and only this path needs it (see tests/test_startup.py)
+    from scipy import stats
+
     values = values[~np.isnan(values)]
     if values.size == 0:
         return math.nan, math.nan

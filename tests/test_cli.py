@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -230,6 +233,24 @@ GOLDEN_COMMANDS = [
 ]
 
 
+def _golden_key(argv_template, scenario: Path) -> str:
+    return " ".join([scenario.name if a == "{scenario}" else a for a in argv_template])
+
+
+def _golden_record(code, stdout: str, stderr: str, scenario: Path, out: Path) -> dict:
+    """One golden entry: the run's bytes with the scenario and CSV paths as placeholders."""
+
+    def normalize(text):
+        return text.replace(str(out), "{out}").replace(str(scenario), "{scenario}")
+
+    return {
+        "exit": code,
+        "stdout": normalize(stdout),
+        "stderr": normalize(stderr),
+        "csv": out.read_bytes().decode() if out.exists() else None,
+    }
+
+
 def _golden_run(argv_template, scenario: Path, out: Path) -> dict:
     """Exit code, stdout, stderr and CSV text of one in-process CLI run."""
     argv = [a.format(scenario=scenario, out=out) for a in argv_template]
@@ -239,16 +260,7 @@ def _golden_run(argv_template, scenario: Path, out: Path) -> dict:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-
-    def normalize(text):
-        return text.replace(str(out), "{out}").replace(str(scenario), "{scenario}")
-
-    return {
-        "exit": code,
-        "stdout": normalize(stdout.getvalue()),
-        "stderr": normalize(stderr.getvalue()),
-        "csv": out.read_bytes().decode() if out.exists() else None,
-    }
+    return _golden_record(code, stdout.getvalue(), stderr.getvalue(), scenario, out)
 
 
 def _golden_outputs(tmp_dir: Path) -> dict:
@@ -257,8 +269,7 @@ def _golden_outputs(tmp_dir: Path) -> dict:
     for scenario in sorted(SCENARIOS.glob("*.json")):
         for template in GOLDEN_COMMANDS:
             out.unlink(missing_ok=True)
-            key = " ".join([scenario.name if a == "{scenario}" else a for a in template])
-            outputs[key] = _golden_run(template, scenario, out)
+            outputs[_golden_key(template, scenario)] = _golden_run(template, scenario, out)
     return outputs
 
 
@@ -282,6 +293,33 @@ def test_golden_output_on_bundled_scenarios(tmp_path):
         for field in expected[key]
         if actual[key][field] != expected[key][field]
     ]
+    assert differing == []
+
+
+def test_golden_output_in_fresh_processes(tmp_path):
+    """The golden bytes hold for ``python -m taskalloc.cli`` in a new interpreter.
+
+    The in-process golden test shares one interpreter with the whole
+    suite, so it cannot see what only a fresh process does: which
+    modules a command imports, and what importing them changes (scipy,
+    for one, adds two ``warnings`` filters).  Each command of
+    GOLDEN_COMMANDS on scenario1 runs as its own process here.
+    """
+    expected = json.loads(GOLDEN.read_text())
+    scenario = SCENARIOS / "scenario1.json"
+    out = tmp_path / "out.csv"
+    env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+    differing = []
+    for template in GOLDEN_COMMANDS:
+        out.unlink(missing_ok=True)
+        argv = [a.format(scenario=scenario, out=out) for a in template]
+        proc = subprocess.run([sys.executable, "-m", "taskalloc.cli", *argv],
+                              capture_output=True, env=env)
+        actual = _golden_record(proc.returncode, proc.stdout.decode(), proc.stderr.decode(),
+                                scenario, out)
+        key = _golden_key(template, scenario)
+        differing += [f"{key}: {field}" for field in expected[key]
+                      if actual[field] != expected[key][field]]
     assert differing == []
 
 

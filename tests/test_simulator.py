@@ -2,6 +2,7 @@
 
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from taskalloc import (
     SimulationConfig,
     UnsupportedModelError,
     latency,
+    load_scenario_file,
     simulate,
     solve_nep,
+    solve_optimal,
     validate,
 )
 
@@ -187,3 +190,30 @@ def test_raw_samples_csv(tmp_path, toy):
     simulate(toy, multi)
     assert (tmp_path / "raw.rep0.csv").exists()
     assert (tmp_path / "raw.rep1.csv").exists()
+
+
+# float.hex() of latency_ci (aggregate, then per server) on scenario1 at
+# rho 0.5, 4000 jobs, seed 3, for 3, 5 and 10 replications (t with 2, 4
+# and 9 degrees of freedom); recorded with scipy.stats.t.ppf.
+CI_GOLDEN = {
+    3: ("0x1.cb643256dc619p-6",
+        ["0x1.7c3e2fb91cc9fp-5", "0x1.7f6b93cedabfdp-6", "0x1.fc0b2bea89768p-7"]),
+    5: ("0x1.8d5e0e9fd10cep-7",
+        ["0x1.887d03e5d4c9ep-6", "0x1.e1bdd1fb993ffp-7", "0x1.6b6c98c0db3b1p-8"]),
+    10: ("0x1.aa62de06f2732p-8",
+         ["0x1.9706bd7470d92p-7", "0x1.9ab1e6c65a84ep-7", "0x1.3b9c86556494dp-8"]),
+}
+
+
+@pytest.mark.parametrize("replications", sorted(CI_GOLDEN))
+def test_latency_ci_bits(replications):
+    """The t-quantile half-widths keep their bits beyond one degree of freedom."""
+    sc = load_scenario_file(Path(__file__).resolve().parent.parent
+                            / "scenarios" / "scenario1.json").scenario
+    lam = 0.5 * sc.total_mu
+    p = tuple(float(x) for x in solve_optimal(sc, lam).p)
+    cfg = SimulationConfig(lam=lam, p=p, horizon_jobs=4000, seed=3, replications=replications)
+    report = simulate(sc, cfg)
+    aggregate, per_server = CI_GOLDEN[replications]
+    assert report.latency_ci.hex() == aggregate
+    assert [st.latency_ci.hex() for st in report.per_server] == per_server
