@@ -28,6 +28,20 @@ from .solver import AllocationKind, Scenario, solve_nep, solve_optimal
 
 _ARRIVALS, _ROUTING, _SERVICE_BASE = 0, 1, 2
 
+# stats.t.ppf(0.975, df) for df = 1..30, stored exactly (scipy 1.17.1); entry df - 1.
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078,
+    2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+    2.364624251592784, 2.306004135204166, 2.262157162798205,
+    2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776,
+    2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+    2.0930240544083087, 2.085963447265864, 2.0796138447276795,
+    2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846,
+    2.0484071417952454, 2.045229642132703, 2.0422724563012378,
+)
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -155,16 +169,23 @@ def _one_replication(sc: Scenario, cfg: SimulationConfig, rep: int):
 
 def _mean_ci(values: np.ndarray) -> tuple[float, float]:
     """Mean and 95% confidence half-width across replications, NaN-aware."""
-    # scipy costs ~1 s and ~70 MB to import and only this path needs it (see tests/test_startup.py)
-    from scipy import stats
-
     values = values[~np.isnan(values)]
     if values.size == 0:
         return math.nan, math.nan
     mean = float(values.mean())
     if values.size == 1:
         return mean, math.nan
-    half = float(stats.t.ppf(0.975, values.size - 1) * values.std(ddof=1) / math.sqrt(values.size))
+    df = values.size - 1
+    if df <= len(_T975):
+        q = _T975[df - 1]
+    else:
+        # Importing scipy.stats costs ~0.5 s and ~60 MB, most of a short simulate or
+        # validate run, so up to 30 degrees of freedom the quantile comes from _T975;
+        # only larger replication counts load it (see tests/test_startup.py).
+        from scipy import stats
+
+        q = stats.t.ppf(0.975, df)
+    half = float(q * values.std(ddof=1) / math.sqrt(values.size))
     return mean, half
 
 

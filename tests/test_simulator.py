@@ -22,7 +22,7 @@ from taskalloc import (
     validate,
 )
 
-from taskalloc.simulator import _rng, _service_times
+from taskalloc.simulator import _T975, _mean_ci, _rng, _service_times
 from test_latency import as_generic
 
 
@@ -193,8 +193,10 @@ def test_raw_samples_csv(tmp_path, toy):
 
 
 # float.hex() of latency_ci (aggregate, then per server) on scenario1 at
-# rho 0.5, 4000 jobs, seed 3, for 3, 5 and 10 replications (t with 2, 4
-# and 9 degrees of freedom); recorded with scipy.stats.t.ppf.
+# rho 0.5, 4000 jobs, seed 3, for 3, 5, 10, 31 and 32 replications (t with
+# 2, 4, 9, 30 and 31 degrees of freedom: 30 is the last entry of the stored
+# quantile table, 31 the first call into scipy); recorded with
+# scipy.stats.t.ppf before the table existed.
 CI_GOLDEN = {
     3: ("0x1.cb643256dc619p-6",
         ["0x1.7c3e2fb91cc9fp-5", "0x1.7f6b93cedabfdp-6", "0x1.fc0b2bea89768p-7"]),
@@ -202,6 +204,10 @@ CI_GOLDEN = {
         ["0x1.887d03e5d4c9ep-6", "0x1.e1bdd1fb993ffp-7", "0x1.6b6c98c0db3b1p-8"]),
     10: ("0x1.aa62de06f2732p-8",
          ["0x1.9706bd7470d92p-7", "0x1.9ab1e6c65a84ep-7", "0x1.3b9c86556494dp-8"]),
+    31: ("0x1.370cc5333e27ep-9",
+         ["0x1.40bf0c44667ecp-8", "0x1.866c2a2737b6ap-8", "0x1.5178a8df49929p-9"]),
+    32: ("0x1.2d0baf52b4adap-9",
+         ["0x1.38ae1f342876ap-8", "0x1.96f1a5024e90ap-8", "0x1.46a792c6efa72p-9"]),
 }
 
 
@@ -217,3 +223,20 @@ def test_latency_ci_bits(replications):
     aggregate, per_server = CI_GOLDEN[replications]
     assert report.latency_ci.hex() == aggregate
     assert [st.latency_ci.hex() for st in report.per_server] == per_server
+
+
+def test_t_quantile_table_matches_scipy():
+    """Each stored quantile is scipy's, bit for bit, and the table edge is seamless."""
+    from scipy import stats
+
+    assert len(_T975) == 30
+    for df in range(1, 31):
+        assert float.hex(_T975[df - 1]) == float.hex(float(stats.t.ppf(0.975, df)))
+
+    rng = np.random.default_rng(12)
+    for size in range(2, 35):
+        values = rng.gamma(2.0, 0.1, size)
+        scipy_half = float(stats.t.ppf(0.975, size - 1) * values.std(ddof=1)
+                           / math.sqrt(size))
+        _, half = _mean_ci(values)
+        assert half.hex() == scipy_half.hex()

@@ -1,9 +1,11 @@
-"""Start-up cost: the light commands never import scipy.
+"""Start-up cost: the CLI commands import scipy only where they need it.
 
 scipy takes about 1 s and 70 MB to import, most of a short CLI run.
-Only the simulator's confidence interval (``simulator._mean_ci``) and
-the oracle's polish (``oracle._refine``) need it, so they import it at
-first use.  The check runs in a fresh interpreter, because the test
+The oracle's polish (``oracle._refine``) imports it at first use.  The
+simulator's confidence interval (``simulator._mean_ci``) reads its
+Student-t quantile from a stored table up to 30 degrees of freedom, so
+``simulate`` and ``validate`` load scipy only with more than 31
+replications.  The check runs in a fresh interpreter, because the test
 process itself has long since imported scipy.
 """
 
@@ -39,7 +41,21 @@ seen["light"] = scipy_modules()
 with redirect_stdout(io.StringIO()):
     codes["simulate"] = cli.main(["simulate", scenario, "--rho", "0.5", "--jobs", "2000",
                                   "--reps", "2"])
-seen["simulate"] = "scipy.stats" in sys.modules
+seen["simulate"] = scipy_modules()
+
+with redirect_stdout(io.StringIO()):
+    codes["validate"] = cli.main(["validate", scenario, "--rho", "0.5"])
+seen["validate"] = scipy_modules()
+
+with redirect_stdout(io.StringIO()):
+    codes["simulate_31"] = cli.main(["simulate", scenario, "--rho", "0.5", "--jobs", "2000",
+                                     "--reps", "31"])
+seen["simulate_31"] = scipy_modules()
+
+with redirect_stdout(io.StringIO()):
+    codes["simulate_33"] = cli.main(["simulate", scenario, "--rho", "0.5", "--jobs", "2000",
+                                     "--reps", "33"])
+seen["simulate_33"] = "scipy.stats" in sys.modules
 
 from taskalloc import brute_force_optimal, load_scenario_file
 sc = load_scenario_file(scenario).scenario
@@ -58,9 +74,13 @@ def test_light_commands_do_not_import_scipy():
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["import"] == []
     assert seen["codes"] == {name: 0 for name in
-                             ("solve", "nep", "thresholds", "worst", "sweep", "simulate")}
+                             ("solve", "nep", "thresholds", "worst", "sweep", "simulate",
+                              "validate", "simulate_31", "simulate_33")}
     assert seen["light"] == []
-    assert seen["simulate"] is True
+    assert seen["simulate"] == []
+    assert seen["validate"] == []
+    assert seen["simulate_31"] == []
+    assert seen["simulate_33"] is True
     split = seen["oracle_split"]
     assert len(split) == 3
     assert abs(sum(split) - 1.0) < 1e-9
