@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskalloc import (
     AllocationKind,
@@ -21,6 +23,7 @@ from taskalloc import (
     sort_servers,
     zero_load_latency,
 )
+from taskalloc.solver import _bound_inverse, _invert_or_zero
 
 from conftest import random_loads, random_scenario
 from test_latency import as_generic
@@ -288,3 +291,56 @@ def test_faulty_generic_curve_is_not_read_as_saturation():
     # saturation would put that threshold at 2 and return p = [1, 0]
     with pytest.raises(ZeroDivisionError):
         solve_nep(sc, 1.2)
+
+
+def test_user_curve_raising_inside_the_multiplier_bisection():
+    """A fault the threshold table never reaches propagates from the bisection as raised.
+
+    The curve fails only on x in (0.3, 0.32).  Inverting it at the
+    threshold table's targets never probes there; inverting it at the
+    bisection's first midpoint (latency 1.5, rate 1/3) does.
+    """
+
+    def patchy_latency(x):
+        if 0.3 < x < 0.32:
+            raise ValueError(f"curve undefined at x = {x!r}")
+        return 1.0 / (1.0 - x)
+
+    patchy = ServerSpec.from_functions(0.0, 1.0, patchy_latency, lambda x: 1.0 / (1.0 - x) ** 2)
+    sc = Scenario((ServerSpec.mm1(0.0, 2.0), patchy, ServerSpec.mm1(0.0, 0.5)))
+    assert activation_thresholds(sc, AllocationKind.NEP).loads[1] == 1.0
+    with pytest.raises(ValueError) as exc:
+        solve_nep(sc, 1.2)
+    assert str(exc.value) == "curve undefined at x = 0.31249999968750003"
+    assert "_bisect_multiplier" in [entry.name for entry in exc.traceback]
+    assert "activation_thresholds" not in [entry.name for entry in exc.traceback]
+
+
+@st.composite
+def closed_server_and_target(draw):
+    d = draw(st.floats(0.0, 0.2))
+    mu = draw(st.floats(1.0, 300.0))
+    model = draw(st.sampled_from(["mm1", "md1", "mg1"]))
+    if model == "mm1":
+        s = ServerSpec.mm1(d, mu)
+    elif model == "md1":
+        s = ServerSpec.md1(d, mu)
+    else:
+        s = ServerSpec.mg1(d, mu, draw(st.floats(0.01, 10.0)))
+    z0 = d + 1.0 / mu
+    target = draw(st.one_of(
+        st.floats(0.0, z0),  # below and at z0
+        st.just(z0),
+        st.integers(1, 64).map(lambda k: z0 + k * math.ulp(z0)),  # just above
+        st.floats(z0, 1e6, exclude_min=True),  # far above
+        st.just(math.nan),
+    ))
+    return s, target
+
+
+@settings(max_examples=400, deadline=None)
+@given(closed_server_and_target(), st.sampled_from(list(AllocationKind)))
+def test_bound_inverse_is_invert_or_zero_bit_for_bit(case, kind):
+    s, target = case
+    cfg = SolverConfig()
+    assert _bound_inverse(s, kind, cfg)(target).hex() == _invert_or_zero(s, kind, target, cfg).hex()
