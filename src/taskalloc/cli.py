@@ -253,6 +253,11 @@ def _cmd_validate(args) -> int:
           f"(95% ci half-width {_fmt(record.latency_ci)})")
     print(f"relative gap: {_fmt(record.relative_gap)}    tolerance: {_fmt(record.tolerance)}")
     print("PASS" if record.passed else "FAIL")
+    header = ["kind", "lam", "analytic_latency_s", "empirical_latency_s", "latency_ci_s",
+              "relative_gap", "tolerance", "passed"]
+    row = [kind.value, lam, record.analytic_latency, record.empirical_latency, record.latency_ci,
+           record.relative_gap, record.tolerance, record.passed]
+    _save_csv(args, header, [row])
     return 0 if record.passed else 5
 
 

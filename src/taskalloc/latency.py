@@ -5,10 +5,11 @@ service rate ``mu`` (jobs/second) and, for the general single-server queue,
 the coefficient of variation ``cv`` of its service time.  The mean latency
 seen by traffic offered at rate ``x`` is
 
-    l(x) = d + (1/mu) * (1 + (1 + cv^2)/2 * x / (mu - x))
+    l(x) = d + (1/mu) * (1 + a * x / (mu - x)),    a = (1 + cv^2)/2
 
 which reduces to ``d + 1/(mu - x)`` for cv=1 (exponential service) and to
-the deterministic-service form for cv=0.  The marginal cost
+the deterministic-service form for cv=0.  ``ServerSpec`` derives ``a`` and
+l(0) = d + 1/mu (``z0``) once, at construction.  The marginal cost
 
     h(x) = l(x) + x * l'(x)
 
@@ -20,7 +21,7 @@ are inverted in closed form; user-supplied models fall back to bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -57,13 +58,14 @@ class GenericLatencyModel:
     derivative_fn: Callable[[float], float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # no per-instance dict: a fleet holds thousands
 class ServerSpec:
     """One reachable server.
 
     d: fixed two-way path delay, seconds.
     mu: service rate, jobs/second.
     cv: coefficient of variation of the service time (1 for MM1, 0 for MD1).
+    z0, a: d + 1/mu and (1 + cv^2)/2, derived once; not in ==, hash or repr.
     """
 
     d: float
@@ -71,6 +73,8 @@ class ServerSpec:
     cv: float = 1.0
     model: QueueModel = QueueModel.MM1
     generic: GenericLatencyModel | None = None
+    z0: float = field(init=False, repr=False, compare=False)
+    a: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.d >= 0.0):
@@ -87,6 +91,8 @@ class ServerSpec:
             raise ValueError("MD1 requires cv = 0")
         if (self.generic is not None) != (self.model is QueueModel.GENERIC):
             raise ValueError("generic latency functions go with model=GENERIC only")
+        object.__setattr__(self, "z0", self.d + 1.0 / self.mu)
+        object.__setattr__(self, "a", 0.5 * (1.0 + self.cv * self.cv))
 
     @classmethod
     def mm1(cls, d: float, mu: float) -> "ServerSpec":
@@ -113,7 +119,7 @@ class ServerSpec:
 
 def zero_load_latency(s: ServerSpec) -> float:
     """Latency of an empty server: path delay plus one service interval."""
-    return s.d + 1.0 / s.mu
+    return s.z0
 
 
 def _check_rate(s: ServerSpec, x: float) -> None:
@@ -152,8 +158,8 @@ def invert_latency(
     eps_sat: float = EPS_SAT,
 ) -> float:
     """Rate x with l(x) = target.  Requires target > l(0)."""
-    if target <= s.d + 1.0 / s.mu:  # zero_load_latency(s), inlined on this hot path
-        raise DomainError(f"target {target} not above the zero-load latency {zero_load_latency(s)}")
+    if target <= s.z0:
+        raise DomainError(f"target {target} not above the zero-load latency {s.z0}")
     if s.model is _GENERIC:
         return _bisect_rate(s.generic.latency_fn, target, s.mu * (1.0 - eps_sat), resolution)
     return closed_invert_latency(s, target)
@@ -166,8 +172,8 @@ def invert_marginal(
     eps_sat: float = EPS_SAT,
 ) -> float:
     """Rate x with h(x) = target.  Requires target > h(0) = l(0)."""
-    if target <= s.d + 1.0 / s.mu:  # zero_load_latency(s), inlined on this hot path
-        raise DomainError(f"target {target} not above the zero-load marginal cost {zero_load_latency(s)}")
+    if target <= s.z0:
+        raise DomainError(f"target {target} not above the zero-load marginal cost {s.z0}")
     if s.model is _GENERIC:
         fn = s.generic.latency_fn
         fd = s.generic.derivative_fn
@@ -185,41 +191,34 @@ def invert_marginal(
 def closed_latency(s: ServerSpec, x):
     if s.model is _MM1:
         return s.d + 1.0 / (s.mu - x)
-    a = 0.5 * (1.0 + s.cv * s.cv)
-    return s.d + (1.0 + a * x / (s.mu - x)) / s.mu
+    return s.d + (1.0 + s.a * x / (s.mu - x)) / s.mu
 
 
 def closed_slope(s: ServerSpec, x):
     g = s.mu - x
-    if s.model is _MM1:
-        return 1.0 / (g * g)
-    a = 0.5 * (1.0 + s.cv * s.cv)
-    return a / (g * g)
+    return s.a / (g * g)
 
 
 def closed_marginal_cost(s: ServerSpec, x):
     g = s.mu - x
     if s.model is _MM1:
         return s.d + s.mu / (g * g)
-    a = 0.5 * (1.0 + s.cv * s.cv)
-    return s.d + (1.0 + a * (2.0 * s.mu - x) * x / (g * g)) / s.mu
+    return s.d + (1.0 + s.a * (2.0 * s.mu - x) * x / (g * g)) / s.mu
 
 
 def closed_invert_latency(s: ServerSpec, target):
     if s.model is _MM1:
         return s.mu - 1.0 / (target - s.d)
-    a = 0.5 * (1.0 + s.cv * s.cv)
     w = s.mu * (target - s.d) - 1.0
-    return s.mu * w / (a + w)
+    return s.mu * w / (s.a + w)
 
 
 def closed_invert_marginal(s: ServerSpec, target, sqrt=math.sqrt):
     """``sqrt`` is math.sqrt for a float target, numpy.sqrt for an array (both round correctly)."""
     if s.model is _MM1:
         return s.mu - sqrt(s.mu / (target - s.d))
-    a = 0.5 * (1.0 + s.cv * s.cv)
     w = s.mu * (target - s.d) - 1.0
-    return s.mu * (1.0 - 1.0 / sqrt(1.0 + w / a))
+    return s.mu * (1.0 - 1.0 / sqrt(1.0 + w / s.a))
 
 
 def _bisect_rate(fn, target: float, hi: float, resolution: float) -> float:

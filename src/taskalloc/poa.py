@@ -144,9 +144,8 @@ def asymptotic_poa(sc: Scenario) -> float:
     """
     if sc.has_generic():
         raise UnsupportedModelError("no closed-form full-load limit for generic latency models")
-    a = [0.5 * (1.0 + s.cv * s.cv) for s in sc.servers]
-    root_sum = sum(math.sqrt(s.mu * aj) for s, aj in zip(sc.servers, a))
-    return sum(a) * sc.total_mu / (root_sum * root_sum)
+    root_sum = sum(math.sqrt(s.mu * s.a) for s in sc.servers)
+    return sum(s.a for s in sc.servers) * sc.total_mu / (root_sum * root_sum)
 
 
 def worst_case_poa(sc: Scenario) -> WorstCaseResult:

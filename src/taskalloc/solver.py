@@ -49,7 +49,6 @@ from .latency import (
     latency,
     latency_slope,
     marginal_cost,
-    zero_load_latency,
 )
 
 SIMPLEX_TOL = 1e-9  # largest |sum(p) - 1| accepted for a split
@@ -133,12 +132,12 @@ def sort_servers(sc: Scenario) -> tuple[int, ...]:
     The sort is stable, so servers with equal zero-load latency keep
     their input order.
     """
-    return tuple(sorted(range(len(sc.servers)), key=lambda i: zero_load_latency(sc.servers[i])))
+    return tuple(sorted(range(len(sc.servers)), key=lambda i: sc.servers[i].z0))
 
 
 def _invert_or_zero(s: ServerSpec, kind: AllocationKind, target: float, cfg: SolverConfig) -> float:
     """Rate at which the server's curve reaches ``target``, 0 if never below it."""
-    if target <= s.d + 1.0 / s.mu:  # zero_load_latency(s), inlined on this hot path
+    if target <= s.z0:
         return 0.0
     inv = invert_marginal if kind is AllocationKind.OPTIMAL else invert_latency
     try:
@@ -158,15 +157,13 @@ def _bound_inverse(s: ServerSpec, kind: AllocationKind, cfg: SolverConfig):
     """
     if s.model is QueueModel.GENERIC:
         return lambda t: _invert_or_zero(s, kind, t, cfg)
-    d, mu, sqrt = s.d, s.mu, math.sqrt
-    z0 = d + 1.0 / mu
+    d, mu, z0, a, sqrt = s.d, s.mu, s.z0, s.a, math.sqrt
     nep = kind is AllocationKind.NEP
     # "t <= z0" is False for a NaN target, which then runs the formula, as in _invert_or_zero
     if s.model is QueueModel.MM1:
         if nep:
             return lambda t: 0.0 if t <= z0 else mu - 1.0 / (t - d)
         return lambda t: 0.0 if t <= z0 else mu - sqrt(mu / (t - d))
-    a = 0.5 * (1.0 + s.cv * s.cv)
 
     def inv(t):
         if t <= z0:
@@ -189,7 +186,7 @@ def activation_thresholds(sc: Scenario, kind: AllocationKind) -> ThresholdTable:
     order = sort_servers(sc)
     loads = [0.0]
     for j in range(1, len(order)):
-        target = zero_load_latency(sc.servers[order[j]])
+        target = sc.servers[order[j]].z0
         total = 0.0
         for i in range(j):
             total += _invert_or_zero(sc.servers[order[i]], kind, target, sc.config)
@@ -205,9 +202,8 @@ def _inverse_slope(s: ServerSpec, kind: AllocationKind, x, slope=latency_slope):
     if kind is AllocationKind.NEP:
         return 1.0 / slope(s, x)
     # h'(x) = 2 a mu / (mu - x)^3 for the closed-form queue family
-    a = 0.5 * (1.0 + s.cv * s.cv)
     g = s.mu - x
-    return g * g * g / (2.0 * a * s.mu)
+    return g * g * g / (2.0 * s.a * s.mu)
 
 
 def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
@@ -242,11 +238,11 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
         def remaining(t: float) -> float:
             return sum([inv(t) for inv in inverses]) - lam
 
-        lo = zero_load_latency(active[-1]) + cfg.resolution
+        lo = active[-1].z0 + cfg.resolution
         if j < n:
-            hi = zero_load_latency(servers[j])
+            hi = servers[j].z0
         else:
-            hi = 2.0 * zero_load_latency(active[-1])
+            hi = 2.0 * active[-1].z0
             grow = 0
             while remaining(hi) < 0.0:
                 hi *= 2.0
@@ -259,7 +255,7 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
         f_lo = remaining(lo)
         if f_lo > 0.0:
             # the +resolution shift overshot an extremely sharp curve
-            lo = zero_load_latency(active[-1])
+            lo = active[-1].z0
         mult = _bisect_multiplier(remaining, lo, hi, cfg.resolution)
         closed = not sc.has_generic()
         if closed:
@@ -277,17 +273,17 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
                     break
                 mult = nxt
         rates = [inv(mult) for inv in inverses]
-        p_sorted[:j] = np.asarray(rates) / lam
-        mean = float(sum(q * latency(s, r) for q, s, r in zip(p_sorted[:j], active, rates)))
-        # The Newton polish leaves a closed-form split exact to rounding, except
-        # where the multiplier's resolution (or last bit) outweighs the load, and
-        # at rare loads just above an activation threshold where the polish stops
-        # early.  Generic splits keep the bisection's resolution-sized error.
+        # The Newton polish leaves a closed-form split exact to rounding, except where the
+        # multiplier's resolution (or last bit) outweighs the load and at rare loads just above
+        # an activation threshold where the polish stops early.  Generic splits keep the
+        # bisection's error.  Checked before p: rates / lam overflows at a denormal load.
         if closed and abs(sum(rates) - lam) > SIMPLEX_TOL * lam:
             raise ConvergenceError(
                 f"the {kind.value} split of arrival rate {lam} sums to {sum(rates) / lam!r}, "
                 f"not 1: the multiplier could not be resolved finely enough at this load"
             )
+        p_sorted[:j] = np.asarray(rates) / lam
+        mean = float(sum(q * latency(s, r) for q, s, r in zip(p_sorted[:j], active, rates)))
 
     p = np.zeros(n)
     p[list(order)] = p_sorted
@@ -356,7 +352,7 @@ def solve_lockstep(sc: Scenario, lams: np.ndarray, kind: AllocationKind):
 def _lockstep_active(servers, lam, j, kind, cfg):
     """The j > 1 branch of ``_solve`` on loads ``lam``: (multiplier, mean, bad)."""
     n = len(servers)
-    z0 = np.array([zero_load_latency(s) for s in servers])
+    z0 = np.array([s.z0 for s in servers])
     active = [k < j for k in range(n)]
     every = np.arange(lam.size)
     bad = np.zeros(lam.size, dtype=bool)

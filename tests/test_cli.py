@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from taskalloc import default_grid, load_scenario_file, poa_at
+from taskalloc import cli, default_grid, load_scenario_file, poa_at, validate
 from taskalloc.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -155,15 +155,30 @@ def test_simulate_csv_and_raw(toy_file, tmp_path, capsys):
     assert (tmp_path / "raw.rep0.csv").exists() and (tmp_path / "raw.rep1.csv").exists()
 
 
-def test_validate_pass_and_fail(toy_file, capsys):
+def test_validate_pass_and_fail(toy_file, tmp_path, capsys, monkeypatch):
     args = ["validate", toy_file, "--load", "1", "--kind", "nep",
             "--jobs", "60000", "--reps", "3", "--seed", "1"]
     assert main(args) == 0
     text = capsys.readouterr().out
     assert "analytic latency:  1 s" in text and "PASS" in text
 
-    assert main(args + ["--tolerance", "1e-9"]) == 5
-    assert "FAIL" in capsys.readouterr().out
+    records = []
+
+    def spy(*a, **k):
+        records.append(validate(*a, **k))
+        return records[-1]
+
+    monkeypatch.setattr(cli, "validate", spy)
+    out = tmp_path / "validate.csv"
+    assert main(args + ["--tolerance", "1e-9", "--out", str(out)]) == 5
+    assert capsys.readouterr().out.endswith(f"FAIL\nwrote {out}\n")
+    rec = records[0]
+    header, row = _read_csv(out)
+    assert header == ["kind", "lam", "analytic_latency_s", "empirical_latency_s", "latency_ci_s",
+                      "relative_gap", "tolerance", "passed"]
+    assert row[0] == "nep" and row[7] == "False"
+    assert [float(v) for v in row[1:7]] == [rec.lam, rec.analytic_latency, rec.empirical_latency,
+                                           rec.latency_ci, rec.relative_gap, rec.tolerance]
 
 
 def test_exit_codes(toy_file, tmp_path, capsys):

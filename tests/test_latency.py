@@ -1,9 +1,12 @@
 """Latency curves, marginal costs, and their inverses."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskalloc import (
     DomainError,
@@ -38,6 +41,42 @@ def test_zero_load_latency_is_d_plus_service_time():
         assert zero_load_latency(s) == pytest.approx(s.d + 1.0 / s.mu, rel=1e-15)
         assert latency(s, 0.0) == pytest.approx(zero_load_latency(s), rel=1e-15)
         assert marginal_cost(s, 0.0) == pytest.approx(zero_load_latency(s), rel=1e-15)
+
+
+@st.composite
+def any_server(draw):
+    finite = st.floats(0.0, 1e300)
+    d, mu = draw(finite), draw(st.floats(0.0, 1e300, exclude_min=True))
+    model = draw(st.sampled_from(["mm1", "md1", "mg1", "generic"]))
+    if model == "mm1":
+        return ServerSpec.mm1(d, mu)
+    if model == "md1":
+        return ServerSpec.md1(d, mu)
+    if model == "mg1":
+        return ServerSpec.mg1(d, mu, draw(finite))
+    return as_generic(ServerSpec.mm1(d, mu))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(any_server(), st.floats(0.0, 1e300))
+def test_derived_fields_are_set_once_and_stay_out_of_identity(s, d):
+    assert s.z0.hex() == (s.d + 1.0 / s.mu).hex()
+    assert s.a.hex() == (0.5 * (1.0 + s.cv * s.cv)).hex()
+    moved = replace(s, d=d)
+    assert moved.z0.hex() == (d + 1.0 / s.mu).hex()
+    assert moved.a.hex() == s.a.hex()
+    with pytest.raises(ValueError):
+        replace(s, z0=1.0)
+    twin = replace(s)
+    object.__setattr__(twin, "z0", -1.0)
+    object.__setattr__(twin, "a", -1.0)
+    assert twin == s and hash(twin) == hash(s)
+
+
+def test_derived_fields_stay_out_of_repr():
+    assert repr(ServerSpec.mg1(0.001, 11.0, 2.0)) == (
+        "ServerSpec(d=0.001, mu=11.0, cv=2.0, model=<QueueModel.MG1: 'mg1'>, generic=None)"
+    )
 
 
 def test_latency_values():

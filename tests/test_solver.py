@@ -1,6 +1,7 @@
 """Ordering, activation thresholds, and the two equalization solvers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,15 @@ def test_tiny_loads_on_tied_servers_raise():
         assert abs(res.p.sum() - 1.0) <= 1e-9
     with pytest.raises(ConvergenceError):
         solve_optimal(Scenario(tied.servers + (ServerSpec.mg1(0.05, 3.0, 2.0),)), 1e-20)
+    # at a denormal load the split is checked before p = rates / lam could overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as exc:
+            solve_optimal(Scenario(tied.servers + (ServerSpec.mg1(0.05, 3.0, 2.0),)), 5e-324)
+    assert str(exc.value) == (
+        "the optimal split of arrival rate 5e-324 sums to inf, not 1: "
+        "the multiplier could not be resolved finely enough at this load"
+    )
 
 
 def test_results_reported_in_input_order():
