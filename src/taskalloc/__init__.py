@@ -48,6 +48,7 @@ from .poa import (
     PoaCandidate,
     PoaCurve,
     PoaPoint,
+    SweepSpec,
     WorstCaseResult,
     asymptotic_poa,
     default_grid,
@@ -62,6 +63,7 @@ from .oracle import (
     check_no_profitable_deviation,
 )
 from .simulator import (
+    SimSettings,
     SimulationConfig,
     SimulationReport,
     ServerStats,
@@ -72,8 +74,6 @@ from .simulator import (
 from .scenario_io import (
     FORMAT,
     ScenarioDocument,
-    SimSettings,
-    SweepSpec,
     dump_scenario,
     load_scenario_file,
     parse_scenario,

@@ -16,16 +16,16 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .delay_modes import DelayMode, poa_under_mode, solve_under_mode, transformed_scenarios
 from .errors import InfeasibleLoadError, ScenarioParseError, TaskAllocError
 from .latency import latency, zero_load_latency
-from .poa import default_grid, poa_points, worst_case_poa
-from .scenario_io import ScenarioDocument, SimSettings, load_scenario_file
-from .simulator import SimulationConfig, simulate, validate
+from .poa import SweepSpec, default_grid, poa_points, worst_case_poa
+from .scenario_io import ScenarioDocument, load_scenario_file
+from .simulator import SimSettings, SimulationConfig, simulate, validate
 from .solver import AllocationKind, Scenario, activation_thresholds, solve_nep, solve_optimal
 
 
@@ -33,7 +33,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _grid_spec(text: str) -> tuple[float, float, int]:
+def _grid_spec(text: str) -> SweepSpec:
     """Parse LO:HI:COUNT (rho range, log-spaced in 1 - rho)."""
     parts = text.split(":")
     try:
@@ -46,7 +46,7 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(
             f"expected RHO_LO:RHO_HI:COUNT with 0 < lo < hi < 1, got '{text}'"
         ) from None
-    return lo, hi, count
+    return SweepSpec(count=count, rho_min=lo, rho_max=hi)
 
 
 def _resolution(text: str) -> float:
@@ -150,14 +150,10 @@ def _cmd_thresholds(args) -> int:
 
 
 def _sweep_grid(sc: Scenario, doc: ScenarioDocument, args) -> np.ndarray:
-    if args.grid is not None:
-        lo, hi, count = args.grid
-        return default_grid(sc, count, lo, hi)
-    if doc.sweep is not None:
-        if doc.sweep.grid is not None:
-            return np.asarray(doc.sweep.grid)
-        return default_grid(sc, doc.sweep.count, doc.sweep.rho_min, doc.sweep.rho_max)
-    return default_grid(sc)
+    spec = args.grid or doc.sweep or SweepSpec()
+    if spec.grid is not None:
+        return np.asarray(spec.grid)
+    return default_grid(sc, spec.count, spec.rho_min, spec.rho_max)
 
 
 def _cmd_sweep(args) -> int:
@@ -197,16 +193,11 @@ def _cmd_worst(args) -> int:
 
 
 def _sim_config(doc: ScenarioDocument, args, lam: float, p) -> SimulationConfig:
-    base = doc.simulation if doc.simulation is not None else SimSettings()
-    return SimulationConfig(
-        lam=lam,
-        p=p,
-        horizon_jobs=args.jobs if args.jobs is not None else base.horizon_jobs,
-        warmup=base.warmup,
-        seed=args.seed if args.seed is not None else base.seed,
-        replications=args.reps if args.reps is not None else base.replications,
-        raw_samples_path=getattr(args, "raw", None),
-    )
+    flags = {"horizon_jobs": args.jobs, "seed": args.seed, "replications": args.reps}
+    sim = replace(doc.simulation or SimSettings(),
+                  **{name: value for name, value in flags.items() if value is not None})
+    return SimulationConfig(lam=lam, p=p, **asdict(sim),
+                            raw_samples_path=getattr(args, "raw", None))
 
 
 def _cmd_simulate(args) -> int:

@@ -95,7 +95,18 @@ def poa_at(sc: Scenario, lam: float) -> PoaPoint:
     )
 
 
-def default_grid(sc: Scenario, count: int = 400, rho_lo: float = 0.01, rho_hi: float = 0.999) -> np.ndarray:
+@dataclass(frozen=True)
+class SweepSpec:
+    """Either an explicit load grid or a log-spaced-in-(1-rho) recipe."""
+
+    grid: tuple[float, ...] | None = None
+    count: int = 400
+    rho_min: float = 0.01
+    rho_max: float = 0.999
+
+
+def default_grid(sc: Scenario, count: int = SweepSpec.count, rho_lo: float = SweepSpec.rho_min,
+                 rho_hi: float = SweepSpec.rho_max) -> np.ndarray:
     """Load grid log-spaced in 1 - rho, to resolve the near-saturation rise."""
     gap = np.logspace(math.log10(1.0 - rho_lo), math.log10(1.0 - rho_hi), count)
     return sc.total_mu * (1.0 - gap)

@@ -1,7 +1,7 @@
 """Scenario files: a small versioned JSON schema.
 
 A scenario file carries the server list plus optional solver, sweep,
-and simulation settings:
+and simulation settings (shown here with their defaults):
 
     {
       "format": "taskalloc-scenario/1",
@@ -11,51 +11,36 @@ and simulation settings:
       ],
       "solver": {"resolution": 1e-12, "eps_sat": 1e-9},
       "sweep": {"count": 400, "rho_min": 0.01, "rho_max": 0.999},
-      "simulation": {"horizon_jobs": 200000, "seed": 7, "replications": 5}
+      "simulation": {"horizon_jobs": 200000, "seed": 0, "replications": 5, "warmup": 0.2}
     }
 
-Delays are given in milliseconds (``d_ms``) or, when a delay in seconds
-has no exact millisecond representation, as ``d_s``; exactly one of the
-two is allowed per server.  ``cv`` defaults to 1 and ``model`` is
-inferred from ``cv`` when omitted.  Unknown keys anywhere are rejected,
-and every parse error names the offending location.
+The keys of each optional section are exactly the fields of
+``SolverConfig``, ``SweepSpec`` and ``SimSettings``, and an omitted key
+takes that field's default; a ``sweep`` may instead carry an explicit
+``"grid"`` of loads.  Delays are given in milliseconds (``d_ms``) or,
+when a delay in seconds has no exact millisecond representation, as
+``d_s``; exactly one of the two is allowed per server.  ``cv`` defaults
+to 1 and ``model`` is inferred from ``cv`` when omitted.  Unknown keys
+anywhere are rejected, and every parse error names the offending
+location.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ScenarioParseError
 from .latency import QueueModel, ServerSpec
+from .poa import SweepSpec
+from .simulator import SimSettings
 from .solver import Scenario, SolverConfig
 
 FORMAT = "taskalloc-scenario/1"
 
 _TOP_KEYS = {"format", "servers", "solver", "sweep", "simulation"}
 _SERVER_KEYS = {"d_ms", "d_s", "mu", "cv", "model"}
-_SOLVER_KEYS = {"resolution", "eps_sat"}
-_SWEEP_KEYS = {"grid", "count", "rho_min", "rho_max"}
-_SIM_KEYS = {"horizon_jobs", "seed", "replications", "warmup"}
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Either an explicit load grid or a log-spaced-in-(1-rho) recipe."""
-
-    grid: tuple[float, ...] | None = None
-    count: int = 400
-    rho_min: float = 0.01
-    rho_max: float = 0.999
-
-
-@dataclass(frozen=True)
-class SimSettings:
-    horizon_jobs: int = 200_000
-    seed: int = 0
-    replications: int = 5
-    warmup: float = 0.2
 
 
 @dataclass(frozen=True)
@@ -101,6 +86,19 @@ def _integer(obj: dict, key: str, location: str, default=None):
     return value
 
 
+def _section(obj, cls, location: str) -> None:
+    """Check that a settings section is an object whose keys are fields of ``cls``."""
+    _require(isinstance(obj, dict), "expected an object", location)
+    _check_keys(obj, {f.name for f in fields(cls)}, location)
+
+
+def _settings(obj: dict, cls, location: str) -> dict:
+    """Each numeric field of ``cls``, in field order: the section's value or the default."""
+    read = {int: _integer, float: _number}
+    return {f.name: read[type(f.default)](obj, f.name, location, default=f.default)
+            for f in fields(cls) if f.default is not None}
+
+
 def _parse_server(obj, location: str) -> ServerSpec:
     _require(isinstance(obj, dict), "expected an object", location)
     _check_keys(obj, _SERVER_KEYS, location)
@@ -137,8 +135,7 @@ def _parse_server(obj, location: str) -> ServerSpec:
 
 
 def _parse_sweep(obj, location: str) -> SweepSpec:
-    _require(isinstance(obj, dict), "expected an object", location)
-    _check_keys(obj, _SWEEP_KEYS, location)
+    _section(obj, SweepSpec, location)
     if "grid" in obj:
         _require(set(obj) == {"grid"}, "'grid' excludes the count/rho keys", location)
         raw = obj["grid"]
@@ -148,27 +145,20 @@ def _parse_sweep(obj, location: str) -> SweepSpec:
         _require(all(b > a for a, b in zip(grid, grid[1:])) and grid[0] > 0,
                  "grid must be positive and strictly increasing", f"{location}.grid")
         return SweepSpec(grid=tuple(grid))
-    spec = SweepSpec()
-    count = _integer(obj, "count", location, default=spec.count)
-    rho_min = _number(obj, "rho_min", location, default=spec.rho_min)
-    rho_max = _number(obj, "rho_max", location, default=spec.rho_max)
-    _require(count >= 2, "count must be at least 2", f"{location}.count")
-    _require(0.0 < rho_min < rho_max < 1.0, "need 0 < rho_min < rho_max < 1", location)
-    return SweepSpec(count=count, rho_min=rho_min, rho_max=rho_max)
+    spec = _settings(obj, SweepSpec, location)
+    _require(spec["count"] >= 2, "count must be at least 2", f"{location}.count")
+    _require(0.0 < spec["rho_min"] < spec["rho_max"] < 1.0, "need 0 < rho_min < rho_max < 1",
+             location)
+    return SweepSpec(**spec)
 
 
 def _parse_simulation(obj, location: str) -> SimSettings:
-    _require(isinstance(obj, dict), "expected an object", location)
-    _check_keys(obj, _SIM_KEYS, location)
-    base = SimSettings()
-    horizon = _integer(obj, "horizon_jobs", location, default=base.horizon_jobs)
-    seed = _integer(obj, "seed", location, default=base.seed)
-    reps = _integer(obj, "replications", location, default=base.replications)
-    warmup = _number(obj, "warmup", location, default=base.warmup)
-    _require(horizon > 0, "horizon_jobs must be > 0", f"{location}.horizon_jobs")
-    _require(reps >= 1, "replications must be >= 1", f"{location}.replications")
-    _require(0.0 <= warmup <= 0.5, "warmup must be in [0, 0.5]", f"{location}.warmup")
-    return SimSettings(horizon_jobs=horizon, seed=seed, replications=reps, warmup=warmup)
+    _section(obj, SimSettings, location)
+    sim = _settings(obj, SimSettings, location)
+    _require(sim["horizon_jobs"] > 0, "horizon_jobs must be > 0", f"{location}.horizon_jobs")
+    _require(sim["replications"] >= 1, "replications must be >= 1", f"{location}.replications")
+    _require(0.0 <= sim["warmup"] <= 0.5, "warmup must be in [0, 0.5]", f"{location}.warmup")
+    return SimSettings(**sim)
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioDocument:
@@ -191,14 +181,11 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioDocument:
 
     config = SolverConfig()
     if "solver" in doc:
-        obj = doc["solver"]
-        _require(isinstance(obj, dict), "expected an object", "solver")
-        _check_keys(obj, _SOLVER_KEYS, "solver")
-        resolution = _number(obj, "resolution", "solver", default=config.resolution)
-        eps_sat = _number(obj, "eps_sat", "solver", default=config.eps_sat)
-        _require(resolution > 0.0, "resolution must be > 0", "solver.resolution")
-        _require(0.0 < eps_sat < 1.0, "eps_sat must be in (0, 1)", "solver.eps_sat")
-        config = SolverConfig(resolution=resolution, eps_sat=eps_sat)
+        _section(doc["solver"], SolverConfig, "solver")
+        solver = _settings(doc["solver"], SolverConfig, "solver")
+        _require(solver["resolution"] > 0.0, "resolution must be > 0", "solver.resolution")
+        _require(0.0 < solver["eps_sat"] < 1.0, "eps_sat must be in (0, 1)", "solver.eps_sat")
+        config = SolverConfig(**solver)
 
     sweep = _parse_sweep(doc["sweep"], "sweep") if "sweep" in doc else None
     simulation = _parse_simulation(doc["simulation"], "simulation") if "simulation" in doc else None
@@ -234,15 +221,11 @@ def dump_scenario(doc: ScenarioDocument) -> str:
         entry["cv"] = s.cv
         entry["model"] = s.model.value
         out["servers"].append(entry)
-    out["solver"] = {"resolution": sc.config.resolution, "eps_sat": sc.config.eps_sat}
+    out["solver"] = asdict(sc.config)
     if doc.sweep is not None:
-        if doc.sweep.grid is not None:
-            out["sweep"] = {"grid": list(doc.sweep.grid)}
-        else:
-            out["sweep"] = {"count": doc.sweep.count, "rho_min": doc.sweep.rho_min,
-                            "rho_max": doc.sweep.rho_max}
+        sweep = asdict(doc.sweep)
+        grid = sweep.pop("grid")
+        out["sweep"] = sweep if grid is None else {"grid": grid}
     if doc.simulation is not None:
-        sim = doc.simulation
-        out["simulation"] = {"horizon_jobs": sim.horizon_jobs, "seed": sim.seed,
-                             "replications": sim.replications, "warmup": sim.warmup}
+        out["simulation"] = asdict(doc.simulation)
     return json.dumps(out, indent=2) + "\n"

@@ -68,6 +68,16 @@ class SimulationConfig:
 
 
 @dataclass(frozen=True)
+class SimSettings:
+    """The run-length settings of a scenario file's ``simulation`` section."""
+
+    horizon_jobs: int = SimulationConfig.horizon_jobs
+    seed: int = SimulationConfig.seed
+    replications: int = SimulationConfig.replications
+    warmup: float = SimulationConfig.warmup
+
+
+@dataclass(frozen=True)
 class ServerStats:
     mean_latency: float
     mean_sojourn: float

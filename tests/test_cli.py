@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from taskalloc import cli, default_grid, load_scenario_file, poa_at, validate
+from taskalloc import SolverConfig, cli, default_grid, load_scenario_file, poa_at, validate
 from taskalloc.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -230,6 +230,76 @@ def test_resolution_override(toy_file, capsys):
             main(["solve", toy_file, "--load", "1", "--resolution", bad])
         assert exc.value.code == 2
         assert "--resolution: expected a finite number > 0" in capsys.readouterr().err
+
+
+def _write(tmp_path, name: str, **sections) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(dict(TOY, **sections)))
+    return str(path)
+
+
+def _run(capsys, argv, out):
+    """Exit code, stdout and CSV bytes of one command, with the CSV path masked."""
+    code = main(argv + ["--out", str(out)])
+    return code, capsys.readouterr().out.replace(str(out), "{out}"), out.read_bytes()
+
+
+def test_simulation_flags_override_file_field_by_field(tmp_path, capsys):
+    sim = {"horizon_jobs": 1000, "seed": 3, "replications": 2, "warmup": 0.1}
+    path = _write(tmp_path, "sim.json", simulation=sim)
+    out = tmp_path / "sim.csv"
+
+    def run(path, *flags):
+        """Stdout and CSV of one simulate run; also the completed-job count of its 'all' row."""
+        code, text, csv_bytes = _run(capsys, ["simulate", path, "--load", "1", *flags], out)
+        assert code == 0
+        return text, csv_bytes, csv_bytes.decode().splitlines()[-1].split(",")[5]
+
+    text, _, completed = run(path)
+    assert "replications: 2    jobs/replication: 1000    seed: 3\n" in text
+    assert completed == str(2 * 900)
+    text, _, completed = run(path, "--reps", "1")
+    assert "replications: 1    jobs/replication: 1000    seed: 3\n" in text
+    assert completed == "900"
+
+    # each flag replaces its own field only: the same bytes as a file with that field changed
+    for flag, field, value in [("--reps", "replications", 1), ("--jobs", "horizon_jobs", 500),
+                               ("--seed", "seed", 4)]:
+        edited = _write(tmp_path, f"{field}.json", simulation=dict(sim, **{field: value}))
+        assert run(path, flag, str(value)) == run(edited), flag
+
+    # fields the file leaves out keep their defaults: 5 replications, seed 0, warmup 0.2
+    text, _, completed = run(_write(tmp_path, "partial.json", simulation={"horizon_jobs": 1000}))
+    assert "replications: 5    jobs/replication: 1000    seed: 0\n" in text
+    assert completed == str(5 * 800)
+
+
+def test_grid_flag_replaces_file_sweep(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    explicit = _write(tmp_path, "grid.json", sweep={"grid": [0.5, 1.0, 1.5]})
+    recipe = _write(tmp_path, "recipe.json", sweep={"count": 7, "rho_min": 0.1, "rho_max": 0.9})
+    by_flag = _run(capsys, ["sweep", explicit, "--grid", "0.1:0.9:7"], out)
+    assert by_flag[1] == "wrote 7 points to {out}; max eta 1.08232 at lam 1.12792 (rho 0.375975)\n"
+    assert by_flag == _run(capsys, ["sweep", recipe], out)
+    assert by_flag == _run(capsys, ["sweep", recipe, "--grid", "0.1:0.9:7"], out)
+
+
+def test_resolution_flag_keeps_file_eps_sat(tmp_path, capsys, monkeypatch):
+    configs = []
+
+    def spy(sc, *args):
+        configs.append(sc.config)
+        return solve_under_mode(sc, *args)
+
+    solve_under_mode = cli.solve_under_mode
+    monkeypatch.setattr(cli, "solve_under_mode", spy)
+    path = _write(tmp_path, "eps.json", solver={"eps_sat": 0.1})
+    assert main(["solve", path, "--load", "1"]) == 0
+    assert main(["solve", path, "--load", "1", "--resolution", "1e-6"]) == 0
+    assert configs == [SolverConfig(eps_sat=0.1), SolverConfig(resolution=1e-6, eps_sat=0.1)]
+    # the file's cap, (1 - 0.1) * 3, still rejects a load the default cap admits
+    assert main(["solve", path, "--load", "2.8", "--resolution", "1e-6"]) == 3
+    assert "above the admissible cap" in capsys.readouterr().err
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"

@@ -5,11 +5,14 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskalloc import (
     QueueModel,
     ScenarioDocument,
     ScenarioParseError,
+    ServerSpec,
     SimSettings,
     SweepSpec,
     dump_scenario,
@@ -70,6 +73,50 @@ def test_full_document_round_trip():
 
     with_grid = ScenarioDocument(doc.scenario, sweep=SweepSpec(grid=(1.0, 2.0, 3.5)))
     assert parse_scenario(dump_scenario(with_grid)) == with_grid
+
+
+_positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+_open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _server(draw):
+    if draw(st.booleans()):
+        d = draw(st.floats(0.0, allow_infinity=False))
+    else:  # a delay that is written as d_s
+        d = draw(st.floats(0.0, 1e3).filter(lambda d: d * 1000.0 / 1000.0 != d))
+    mu = draw(_positive)
+    model = draw(st.sampled_from([QueueModel.MM1, QueueModel.MD1, QueueModel.MG1]))
+    cv = {QueueModel.MM1: 1.0, QueueModel.MD1: 0.0}.get(model)
+    if cv is None:
+        cv = draw(st.floats(0.0, 1e150))
+    return ServerSpec(d, mu, cv, model)
+
+
+@st.composite
+def _sweep(draw):
+    if draw(st.booleans()):
+        grid = draw(st.lists(_positive, min_size=1, unique=True))
+        return SweepSpec(grid=tuple(sorted(grid)))
+    rho_min, rho_max = sorted(draw(st.lists(_open_unit, min_size=2, max_size=2, unique=True)))
+    return SweepSpec(count=draw(st.integers(2, 10**6)), rho_min=rho_min, rho_max=rho_max)
+
+
+_simulation = st.builds(SimSettings, horizon_jobs=st.integers(1, 10**30), seed=st.integers(),
+                        replications=st.integers(1, 10**6), warmup=st.floats(0.0, 0.5))
+_document = st.builds(
+    ScenarioDocument,
+    scenario=st.builds(Scenario, st.lists(_server(), min_size=1, max_size=5).map(tuple),
+                       st.builds(SolverConfig, resolution=_positive, eps_sat=_open_unit)),
+    sweep=st.none() | _sweep(),
+    simulation=st.none() | _simulation,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_document)
+def test_dump_parse_round_trip(doc):
+    assert parse_scenario(dump_scenario(doc)) == doc
 
 
 def test_dump_uses_d_s_when_milliseconds_inexact():
@@ -165,33 +212,63 @@ def test_booleans_are_not_numbers():
         parse_scenario(json.dumps(doc))
 
 
-@pytest.mark.parametrize("sweep, fragment", [
-    ({"grid": [1.0, 2.0], "count": 5}, "grid"),
-    ({"grid": []}, "non-empty"),
-    ({"grid": [2.0, 1.0]}, "strictly increasing"),
-    ({"grid": [0.0, 1.0]}, "positive"),
-    ({"count": 1}, "count"),
-    ({"rho_min": 0.9, "rho_max": 0.5}, "rho_min"),
-    ({"rho_min": 0.0}, "rho_min"),
-])
-def test_sweep_validation(sweep, fragment):
+def _section_error(section: str, value) -> ScenarioParseError:
     doc = json.loads(MINIMAL)
-    doc["sweep"] = sweep
+    doc[section] = value
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(json.dumps(doc))
-    assert fragment in str(err.value)
+    return err.value
 
 
-@pytest.mark.parametrize("sim", [
-    {"horizon_jobs": 0},
-    {"replications": 0},
-    {"warmup": 0.7},
-])
-def test_simulation_validation(sim):
-    doc = json.loads(MINIMAL)
-    doc["simulation"] = sim
-    with pytest.raises(ScenarioParseError):
-        parse_scenario(json.dumps(doc))
+# The whole error text and location of each rejected section, so that a
+# change to how the sections are read keeps every byte and the order of checks.
+@pytest.mark.parametrize("sweep, message, location", [
+    ({"grid": [1.0, 2.0], "count": 5}, "sweep: 'grid' excludes the count/rho keys", "sweep"),
+    ({"grid": []}, "sweep.grid: expected a non-empty array", "sweep.grid"),
+    ({"grid": [2.0, 1.0]}, "sweep.grid: grid must be positive and strictly increasing",
+     "sweep.grid"),
+    ({"grid": [0.0, 1.0]}, "sweep.grid: grid must be positive and strictly increasing",
+     "sweep.grid"),
+    ({"count": 1}, "sweep.count: count must be at least 2", "sweep.count"),
+    ({"rho_min": 0.9, "rho_max": 0.5}, "sweep: need 0 < rho_min < rho_max < 1", "sweep"),
+    ({"rho_min": 0.0}, "sweep: need 0 < rho_min < rho_max < 1", "sweep"),
+    ("x", "sweep: expected an object", "sweep"),
+    ({"speed": 9}, "sweep.speed: unknown key 'speed'", "sweep.speed"),
+    ({"count": 2.5}, "sweep.count: expected an integer", "sweep.count"),
+    ({"rho_max": 1.0}, "sweep: need 0 < rho_min < rho_max < 1", "sweep"),
+    ({"count": 1, "rho_min": 0.0}, "sweep.count: count must be at least 2", "sweep.count"),
+    ({"grid": [1.0], "count": "x"}, "sweep: 'grid' excludes the count/rho keys", "sweep"),
+    ({"grid": 3}, "sweep.grid: expected a non-empty array", "sweep.grid"),
+    ({"grid": [0.5, "x"]}, "sweep.grid[1]: expected a number", "sweep.grid[1]"),
+], ids=["sweep0-grid", "sweep1-non-empty", "sweep2-strictly increasing", "sweep3-positive",
+        "sweep4-count", "sweep5-rho_min", "sweep6-rho_min", "not-object", "unknown-key",
+        "fractional-count", "rho_max-one", "count-checked-first", "grid-excludes-before-reading",
+        "grid-not-array", "grid-string"])
+def test_sweep_validation(sweep, message, location):
+    err = _section_error("sweep", sweep)
+    assert (str(err), err.location) == (message, location)
+
+
+@pytest.mark.parametrize("sim, message, location", [
+    ({"horizon_jobs": 0}, "simulation.horizon_jobs: horizon_jobs must be > 0",
+     "simulation.horizon_jobs"),
+    ({"replications": 0}, "simulation.replications: replications must be >= 1",
+     "simulation.replications"),
+    ({"warmup": 0.7}, "simulation.warmup: warmup must be in [0, 0.5]", "simulation.warmup"),
+    (None, "simulation: expected an object", "simulation"),
+    ({"jobs": 9}, "simulation.jobs: unknown key 'jobs'", "simulation.jobs"),
+    ({"horizon_jobs": True}, "simulation.horizon_jobs: expected an integer",
+     "simulation.horizon_jobs"),
+    ({"seed": 3.5}, "simulation.seed: expected an integer", "simulation.seed"),
+    ({"warmup": "x"}, "simulation.warmup: expected a number", "simulation.warmup"),
+    ({"warmup": -0.1}, "simulation.warmup: warmup must be in [0, 0.5]", "simulation.warmup"),
+    ({"horizon_jobs": 0, "replications": 0, "warmup": 1},
+     "simulation.horizon_jobs: horizon_jobs must be > 0", "simulation.horizon_jobs"),
+], ids=["sim0", "sim1", "sim2", "not-object", "unknown-key", "boolean-horizon",
+        "fractional-seed", "string-warmup", "negative-warmup", "horizon-checked-first"])
+def test_simulation_validation(sim, message, location):
+    err = _section_error("simulation", sim)
+    assert (str(err), err.location) == (message, location)
 
 
 def test_solver_block_overrides_config():
@@ -201,9 +278,21 @@ def test_solver_block_overrides_config():
     assert parsed.scenario.config.resolution == 1e-10
     assert parsed.scenario.config.eps_sat == SolverConfig().eps_sat
 
-    doc["solver"] = {"resolution": -1.0}
-    with pytest.raises(ScenarioParseError, match="resolution"):
-        parse_scenario(json.dumps(doc))
+    for solver, message, location in [
+        ({"resolution": -1.0}, "solver.resolution: resolution must be > 0", "solver.resolution"),
+        ({"resolution": 0}, "solver.resolution: resolution must be > 0", "solver.resolution"),
+        ({"eps_sat": 0}, "solver.eps_sat: eps_sat must be in (0, 1)", "solver.eps_sat"),
+        ({"eps_sat": 1}, "solver.eps_sat: eps_sat must be in (0, 1)", "solver.eps_sat"),
+        ({"resolution": -1, "eps_sat": 2}, "solver.resolution: resolution must be > 0",
+         "solver.resolution"),
+        (5, "solver: expected an object", "solver"),
+        ([1], "solver: expected an object", "solver"),
+        ({"foo": 1}, "solver.foo: unknown key 'foo'", "solver.foo"),
+        ({"eps_sat": "x"}, "solver.eps_sat: expected a number", "solver.eps_sat"),
+        ({"resolution": True}, "solver.resolution: expected a number", "solver.resolution"),
+    ]:
+        err = _section_error("solver", solver)
+        assert (str(err), err.location) == (message, location), solver
 
 
 def test_load_scenario_file(tmp_path):
