@@ -12,6 +12,13 @@ server rather than an event loop.
 Runs are reproducible: every replication draws arrivals, routing, and
 each server's service times from independent substreams derived from
 the master seed.
+
+``simulate`` averages each server's statistics across replications, with
+a 95% Student-t half-width on its mean latency, and builds the aggregate
+(the CLI's ``all`` row) the same way: per replication, latency and
+sojourn are weighted by completions over all servers, utilization is the
+mean over servers and ``completed`` is the total.  That row leaves ``p``
+and ``arrival_rate`` blank.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedModelError
 from .latency import QueueModel, ServerSpec
-from .solver import AllocationKind, Scenario, solve_nep, solve_optimal
+from .solver import SIMPLEX_TOL, AllocationKind, Scenario, solve_nep, solve_optimal
 
 _ARRIVALS, _ROUTING, _SERVICE_BASE = 0, 1, 2
 
@@ -63,7 +70,7 @@ class SimulationConfig:
             raise DomainError(f"warmup fraction must be in [0, 0.5], got {self.warmup}")
         if self.replications < 1:
             raise DomainError(f"replications must be >= 1, got {self.replications}")
-        if any(q < 0.0 for q in self.p) or abs(sum(self.p) - 1.0) > 1e-9:
+        if any(q < 0.0 for q in self.p) or abs(sum(self.p) - 1.0) > SIMPLEX_TOL:
             raise DomainError("routing probabilities must be non-negative and sum to 1")
 
 
@@ -136,10 +143,7 @@ def _one_replication(sc: Scenario, cfg: SimulationConfig, rep: int):
     cutoff = int(cfg.warmup * n_jobs)
     window = arrivals[-1] - (arrivals[cutoff] if cutoff > 0 else 0.0)
 
-    lat_sum = np.zeros(n)
-    soj_sum = np.zeros(n)
-    busy = np.zeros(n)
-    kept = np.zeros(n, dtype=int)
+    sums = np.zeros((4, n))  # per server: latency, sojourn and busy time, jobs kept
     raw: list[tuple[int, int, float, float]] = []
 
     for k, s in enumerate(sc.servers):
@@ -155,10 +159,7 @@ def _one_replication(sc: Scenario, cfg: SimulationConfig, rep: int):
         latency = sojourn + s.d
 
         keep = idx >= cutoff
-        lat_sum[k] = latency[keep].sum()
-        soj_sum[k] = sojourn[keep].sum()
-        busy[k] = service[keep].sum()
-        kept[k] = int(keep.sum())
+        sums[:, k] = latency[keep].sum(), sojourn[keep].sum(), service[keep].sum(), keep.sum()
         if cfg.raw_samples_path is not None:
             for j, d_t, l_t in zip(idx[keep], depart[keep] + 0.5 * s.d, latency[keep]):
                 raw.append((int(j), k, float(d_t), float(l_t)))
@@ -174,7 +175,7 @@ def _one_replication(sc: Scenario, cfg: SimulationConfig, rep: int):
             writer.writerow(["job_id", "server", "depart_time", "latency_s"])
             writer.writerows(raw)
 
-    return lat_sum, soj_sum, busy, kept, window
+    return sums, window
 
 
 def _mean_ci(values: np.ndarray) -> tuple[float, float]:
@@ -207,49 +208,40 @@ def simulate(sc: Scenario, cfg: SimulationConfig) -> SimulationReport:
     overloaded = any(q * cfg.lam >= s.mu for q, s in zip(cfg.p, sc.servers))
 
     reps = cfg.replications
-    lat_mean = np.full((reps, n), np.nan)
-    soj_mean = np.full((reps, n), np.nan)
-    util = np.zeros((reps, n))
-    rate = np.zeros((reps, n))
-    agg_lat = np.zeros(reps)
-    agg_soj = np.zeros(reps)
-    agg_util = np.zeros(reps)
-    counts = np.zeros((reps, n), dtype=int)
-
+    # one row per replication; a column per server, then the aggregate over all servers
+    lat, soj, util, kept, rate = np.empty((5, reps, n + 1))
+    servers = np.append(np.ones(n), n)  # servers behind each column
     for r in range(reps):
-        lat_sum, soj_sum, busy, kept, window = _one_replication(sc, cfg, r)
-        got = kept > 0
-        lat_mean[r, got] = lat_sum[got] / kept[got]
-        soj_mean[r, got] = soj_sum[got] / kept[got]
-        util[r] = busy / window
-        rate[r] = kept / window
-        counts[r] = kept
-        agg_lat[r] = lat_sum.sum() / kept.sum()
-        agg_soj[r] = soj_sum.sum() / kept.sum()
-        agg_util[r] = busy.sum() / (n * window)
+        sums, window = _one_replication(sc, cfg, r)
+        lat_sum, soj_sum, busy, count = np.append(sums, sums.sum(axis=1, keepdims=True), axis=1)
+        with np.errstate(invalid="ignore"):  # a server that kept no job gives 0/0 = NaN
+            lat[r] = lat_sum / count
+            soj[r] = soj_sum / count
+        util[r] = busy / (servers * window)
+        kept[r] = count
+        rate[r] = count / window
 
-    per_server = []
-    for k in range(n):
-        mean_k, ci_k = _mean_ci(lat_mean[:, k])
-        soj_k, _ = _mean_ci(soj_mean[:, k])
-        per_server.append(
+    columns = []
+    for k in range(n + 1):
+        mean_k, ci_k = _mean_ci(lat[:, k])
+        columns.append(
             ServerStats(
                 mean_latency=mean_k,
-                mean_sojourn=soj_k,
+                mean_sojourn=_mean_ci(soj[:, k])[0],
                 utilization=float(util[:, k].mean()),
-                completed=int(counts[:, k].sum()),
+                completed=int(kept[:, k].sum()),
                 arrival_rate=float(rate[:, k].mean()),
                 latency_ci=ci_k,
             )
         )
-    agg_mean, agg_ci = _mean_ci(agg_lat)
+    *per_server, total = columns
     return SimulationReport(
         per_server=tuple(per_server),
-        mean_latency=agg_mean,
-        mean_sojourn=float(agg_soj.mean()),
-        utilization=float(agg_util.mean()),
-        completed=int(counts.sum()),
-        latency_ci=agg_ci,
+        mean_latency=total.mean_latency,
+        mean_sojourn=total.mean_sojourn,
+        utilization=total.utilization,
+        completed=total.completed,
+        latency_ci=total.latency_ci,
         overloaded=overloaded,
         replications=reps,
     )

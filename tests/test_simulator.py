@@ -1,6 +1,7 @@
 """Simulator: Poisson arrivals, probabilistic routing, Lindley queues."""
 
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
@@ -223,6 +224,140 @@ def test_latency_ci_bits(replications):
     aggregate, per_server = CI_GOLDEN[replications]
     assert report.latency_ci.hex() == aggregate
     assert [st.latency_ci.hex() for st in report.per_server] == per_server
+
+
+# Every field of simulate's report, float.hex() for floats, in field order
+# (per_server, then the aggregate), on scenario1 and scenario3_cv10 at rho 0.5,
+# 4000 jobs, seed 5. Keys are (scenario, split, replications, warmup): "opt" is
+# the optimal split, "zero" (0.5, 0, 0.5) leaves the middle server without jobs,
+# "over" (0.25, 0.5, 0.25) overloads it. One replication has no interval and 32
+# take the scipy quantile.
+REPORT_GOLDEN = {
+    ("scenario1", "opt", 1, 0.0): (
+        (
+            ("0x1.71eae0ccdf902p-3", "0x1.1fff5bae273e2p-3", "0x1.1aebf26ff4416p-1", 1487,
+             "0x1.0e9e7c9daee81p+3", "nan"),
+            ("0x1.8cabc08bf1241p-3", "0x1.4f3b1cb4e6e6ap-3", "0x1.9f5c8162356e0p-2", 671,
+             "0x1.e87609bb00229p+1", "nan"),
+            ("0x1.00606312cbed0p-2", "0x1.9b1b25e4c94dfp-4", "0x1.0a6de44e18cb3p-1", 1842,
+             "0x1.4f39bc480fed0p+3", "nan"),
+        ),
+        "0x1.b82e5f2e095c5p-3", "0x1.01f4894965d93p-3", "0x1.f8b00f9f6fd7bp-2",
+        4000, "nan", False, 1,
+    ),
+    ("scenario1", "opt", 3, 0.5): (
+        (
+            ("0x1.6ca6fadec64a9p-3", "0x1.1abb75c00df8ap-3", "0x1.200e6723b3518p-1", 2266,
+             "0x1.0ebaacbd858b5p+3", "0x1.8cfed7df397e9p-6"),
+            ("0x1.9440b8842a3ebp-3", "0x1.56d014ad20013p-3", "0x1.993d7be761afdp-2", 1000,
+             "0x1.dd8cc779459e4p+1", "0x1.80c4ba66e37a8p-6"),
+            ("0x1.016498077b61bp-2", "0x1.9f2bf9b78720bp-4", "0x1.0835a6e0a3f80p-1", 2734,
+             "0x1.46c6df8ff8e33p+3", "0x1.9e4cc8fceeac6p-7"),
+        ),
+        "0x1.b7f41fece5d81p-3", "0x1.02cb5b1953661p-3", "0x1.f89732a55ac10p-2",
+        6000, "0x1.ef6885b4b78dap-13", False, 3,
+    ),
+    ("scenario1", "zero", 32, 0.0): (
+        (
+            ("0x1.2510822f204e8p-2", "0x1.f8357f3f884b1p-3", "0x1.7475c735d4668p-1", 63796,
+             "0x1.5e74e48718bedp+3", "0x1.4d67735a6934cp-7"),
+            ("nan", "nan", "0x0.0p+0", 0,
+             "0x0.0p+0", "nan"),
+            ("0x1.076cc726f7c54p-2", "0x1.b74cb63578ae9p-4", "0x1.1854f2b5b031fp-1", 64204,
+             "0x1.60ad541147478p+3", "0x1.bf8a683ef0c18p-9"),
+        ),
+        "0x1.163e14055c1d0p-2", "0x1.6990e1d62082ep-3", "0x1.b331d147adbafp-2",
+        128000, "0x1.6024744050896p-8", False, 32,
+    ),
+    ("scenario1", "over", 3, 0.5): (
+        (
+            ("0x1.3045ef71fd87dp-3", "0x1.bcb4d4a68a6bdp-4", "0x1.88e6c591c0970p-2", 1553,
+             "0x1.73035d7b07998p+2", "0x1.2da664e6571b1p-6"),
+            ("0x1.d541a911f3d43p+4", "0x1.d4c6c7ca45bfbp+4", "0x1.3082818b4e3aep+0", 2964,
+             "0x1.6221e17c626e1p+3", "0x1.a1a0c601388edp+3"),
+            ("0x1.b836955afd19cp-3", "0x1.0a06c44f93cd5p-4", "0x1.0f7ea0197bea4p-2", 1483,
+             "0x1.62825be3d336bp+2", "0x1.7a043914b7571p-7"),
+        ),
+        "0x1.d150a9f9b8e3bp+3", "0x1.cf52b9c23c2dfp+3", "0x1.39bd3ca413922p-1",
+        6000, "0x1.63c6f40d66f72p+2", True, 3,
+    ),
+    ("scenario3_cv10", "opt", 32, 0.5): (
+        (
+            ("0x1.1c6b5f130a711p+2", "0x1.19dc02ea14ae8p+2", "0x1.0dbef6640776bp-1", 21722,
+             "0x1.dd1b936b837dap+2", "0x1.f8d6fcee812f7p+0"),
+            ("0x1.729a116d2bcbcp+1", "0x1.6ec3072fbb27fp+1", "0x1.a977c957f2b3fp-2", 10323,
+             "0x1.c52aa7c2b3e50p+1", "0x1.18badea19535ep+0"),
+            ("0x1.9fac9579e274dp+1", "0x1.8c796246af419p+1", "0x1.1733ef2adc3dfp-1", 31955,
+             "0x1.5ee346f254f0bp+3", "0x1.54819e9729331p+0"),
+        ),
+        "0x1.ce15fbec98e7ep+1", "0x1.c22469887db56p+1", "0x1.fbc9dc273e09cp-2",
+        64000, "0x1.abe4a413d1fb3p-1", False, 32,
+    ),
+    ("scenario3_cv10", "zero", 1, 0.5): (
+        (
+            ("0x1.81e5c86ee62a5p+3", "0x1.809e1a5a6b492p+3", "0x1.b4768fa71ae70p-1", 995,
+             "0x1.6a955222f114ap+3", "nan"),
+            ("nan", "nan", "0x0.0p+0", 0,
+             "0x0.0p+0", "nan"),
+            ("0x1.fc25b6cfde7b1p+0", "0x1.d5bf50697814bp+0", "0x1.17f27f19dd04ep-1", 1005,
+             "0x1.6e3a32cd1a18bp+3", "nan"),
+        ),
+        "0x1.bfcdda13a87bcp+2", "0x1.b9b4ddc360650p+2", "0x1.dd9b5f2b4ff29p-2",
+        2000, "nan", False, 1,
+    ),
+    ("scenario3_cv10", "over", 3, 0.0): (
+        (
+            ("0x1.935c6262464bdp+1", "0x1.8e3daa105ac6bp+1", "0x1.9aab97dc365f3p-2", 3073,
+             "0x1.6fa5dd4153f8fp+2", "0x1.1e99514f11a44p+3"),
+            ("0x1.0e954f42d41a1p+5", "0x1.0e57de9efd0fdp+5", "0x1.5586ce0271c50p+0", 5952,
+             "0x1.641c59e9e392bp+3", "0x1.cd219747eeecdp+3"),
+            ("0x1.e555707996f58p-1", "0x1.9888a3acca28cp-1", "0x1.f138bc9216578p-3", 2975,
+             "0x1.63f08a5d82288p+2", "0x1.011fa519691e0p-1"),
+        ),
+        "0x1.1cfc9c38f3debp+4", "0x1.1bfd6293fe381p+4", "0x1.519087b2816fep-1",
+        12000, "0x1.1c18e59a928e4p+3", True, 3,
+    ),
+    ("scenario3_cv10", "zero", 3, 0.0): (
+        (
+            ("0x1.4cef6a5f72a66p+3", "0x1.4ba7bc4af7c53p+3", "0x1.734fc90d14c48p-1", 6046,
+             "0x1.69ab73afa475dp+3", "0x1.9b935d43dda5fp+2"),
+            ("nan", "nan", "0x0.0p+0", 0,
+             "0x0.0p+0", "nan"),
+            ("0x1.ed87ec02b3dc8p+0", "0x1.c721859c4d761p+0", "0x1.07019658af091p-1", 5954,
+             "0x1.643c1a09aa2d8p+3", "0x1.533acd3585eb3p+0"),
+        ),
+        "0x1.8d3bba0139350p+2", "0x1.872e27b91449dp+2", "0x1.a6e0ea43d7de7p-2",
+        12000, "0x1.c76c4c96261d9p+1", False, 3,
+    ),
+}
+
+
+SPLITS = {"zero": (0.5, 0.0, 0.5), "over": (0.25, 0.5, 0.25)}
+
+
+def _report_bits(obj):
+    bits = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.name == "per_server":
+            value = tuple(_report_bits(st) for st in value)
+        elif isinstance(value, float):
+            value = value.hex()
+        bits.append(value)
+    return tuple(bits)
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_GOLDEN))
+def test_report_bits(case):
+    """Every float of the report and of each ServerStats keeps its bits."""
+    name, split, replications, warmup = case
+    sc = load_scenario_file(Path(__file__).resolve().parent.parent
+                            / "scenarios" / f"{name}.json").scenario
+    lam = 0.5 * sc.total_mu
+    p = tuple(float(x) for x in solve_optimal(sc, lam).p) if split == "opt" else SPLITS[split]
+    cfg = SimulationConfig(lam=lam, p=p, horizon_jobs=4000, warmup=warmup, seed=5,
+                           replications=replications)
+    assert _report_bits(simulate(sc, cfg)) == REPORT_GOLDEN[case]
 
 
 def test_t_quantile_table_matches_scipy():
