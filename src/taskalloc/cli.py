@@ -25,7 +25,7 @@ from .errors import InfeasibleLoadError, ScenarioParseError, TaskAllocError
 from .latency import latency, zero_load_latency
 from .poa import SweepSpec, default_grid, poa_points, worst_case_poa
 from .scenario_io import ScenarioDocument, load_scenario_file
-from .simulator import SimSettings, SimulationConfig, simulate, validate
+from .simulator import _VALIDATE_TOLERANCE, SimSettings, SimulationConfig, simulate, validate
 from .solver import AllocationKind, Scenario, activation_thresholds, solve_nep, solve_optimal
 
 
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     val = _add_command(subs, "validate", _cmd_validate, "check solver output against simulation")
     _add_kind(val)
     _add_simulation(val)
-    val.add_argument("--tolerance", type=float, default=0.03,
+    val.add_argument("--tolerance", type=float, default=_VALIDATE_TOLERANCE,
                      help="relative gap allowed between analytic and empirical latency")
 
     return parser

@@ -15,7 +15,8 @@ l(0) = d + 1/mu (``z0``) once, at construction.  The marginal cost
 
 is the quantity equalized across active servers at the socially optimal
 split.  Both functions are strictly increasing and convex on [0, mu) and
-are inverted in closed form; user-supplied models fall back to bisection.
+are inverted in closed form.  User-supplied models are inverted by bisection,
+to ``resolution`` or to the last bit of the rate, whichever is coarser.
 """
 
 from __future__ import annotations
@@ -227,11 +228,18 @@ def _bisect_rate(fn, target: float, hi: float, resolution: float) -> float:
         raise SaturationError(
             f"target {target} exceeds the model's value {fn(hi)} at the saturation guard"
         )
-    lo = 0.0
-    while hi - lo > resolution:
+    return _bisect(fn, target, 0.0, hi, resolution) if hi > resolution else 0.5 * hi
+
+
+def _bisect(fn, target: float, lo: float, hi: float, resolution: float) -> float:
+    """Root of fn(x) = target for increasing fn on [lo, hi], to ``resolution`` or the last bit."""
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
         if fn(mid) < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        if hi - lo <= resolution:
+            return 0.5 * (lo + hi)

@@ -35,6 +35,8 @@ from .solver import SIMPLEX_TOL, AllocationKind, Scenario, solve_nep, solve_opti
 
 _ARRIVALS, _ROUTING, _SERVICE_BASE = 0, 1, 2
 
+_VALIDATE_TOLERANCE = 0.03  # validate's and the CLI's default relative gap
+
 # stats.t.ppf(0.975, df) for df = 1..30, stored exactly (scipy 1.17.1); entry df - 1.
 _T975 = (
     12.706204736174694, 4.302652729749462, 3.1824463052837078,
@@ -252,7 +254,7 @@ def validate(
     lam: float,
     kind: AllocationKind,
     cfg: SimulationConfig | None = None,
-    tolerance: float = 0.03,
+    tolerance: float = _VALIDATE_TOLERANCE,
 ) -> ValidationRecord:
     """Compare a solver's predicted latency against a simulation of its split."""
     solver = solve_optimal if kind is AllocationKind.OPTIMAL else solve_nep

@@ -39,6 +39,7 @@ from .latency import (
     EPS_SAT,
     QueueModel,
     ServerSpec,
+    _bisect,
     closed_invert_latency,
     closed_invert_marginal,
     closed_latency,
@@ -299,19 +300,8 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
 
 def _bisect_multiplier(residual, lo: float, hi: float, resolution: float) -> float:
     """Root of an increasing residual on [lo, hi], to absolute/ulp resolution."""
-    if residual(hi) < 0.0:
-        # can only happen through rounding at an exact threshold load
-        return hi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return mid
-        if residual(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= resolution:
-            return 0.5 * (lo + hi)
+    # residual(hi) < 0 can only happen through rounding at an exact threshold load
+    return hi if residual(hi) < 0.0 else _bisect(residual, 0.0, lo, hi, resolution)
 
 
 def solve_lockstep(sc: Scenario, lams: np.ndarray, kind: AllocationKind):
@@ -389,7 +379,7 @@ def _lockstep_active(servers, lam, j, kind, cfg):
     shift = remaining(lo, every) > 0.0
     lo[shift] = last[shift]
 
-    # _bisect_multiplier, each slot stopping at its own return
+    # _bisect_multiplier and its latency._bisect, each slot stopping at its own return
     mult = np.empty(lam.size)
     top = remaining(hi, every) < 0.0
     mult[top] = hi[top]

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taskalloc import (
@@ -20,6 +20,7 @@ from taskalloc import (
     marginal_cost,
     zero_load_latency,
 )
+from taskalloc.latency import _bisect, _bisect_rate
 
 from conftest import random_server
 
@@ -160,18 +161,78 @@ def test_latency_convexity():
 
 
 def test_generic_matches_closed_form():
+    # at 1e4 times the drawn mu (up to 3e6) the rate's float spacing is far above the resolution
     rng = np.random.default_rng(17)
     for _ in range(20):
-        s = random_server(rng)
-        g = as_generic(s)
-        for frac in (0.1, 0.5, 0.9):
-            x = frac * s.mu
-            assert latency(g, x) == pytest.approx(latency(s, x), rel=1e-12)
-            assert marginal_cost(g, x) == pytest.approx(marginal_cost(s, x), rel=1e-12)
-        t = latency(s, 0.7 * s.mu)
-        assert invert_latency(g, t) == pytest.approx(invert_latency(s, t), rel=1e-8)
-        t = marginal_cost(s, 0.7 * s.mu)
-        assert invert_marginal(g, t) == pytest.approx(invert_marginal(s, t), rel=1e-8)
+        drawn = random_server(rng)
+        for scale in (1.0, 1e2, 1e4):
+            s = replace(drawn, mu=scale * drawn.mu)
+            g = as_generic(s)
+            for frac in (0.1, 0.5, 0.9):
+                x = frac * s.mu
+                assert latency(g, x) == pytest.approx(latency(s, x), rel=1e-12)
+                assert marginal_cost(g, x) == pytest.approx(marginal_cost(s, x), rel=1e-12)
+            t = latency(s, 0.7 * s.mu)
+            assert invert_latency(g, t) == pytest.approx(invert_latency(s, t), rel=1e-8)
+            t = marginal_cost(s, 0.7 * s.mu)
+            assert invert_marginal(g, t) == pytest.approx(invert_marginal(s, t), rel=1e-8)
+
+
+def _bisect_rate_loop(fn, target, hi, resolution):
+    """The loop ``_bisect_rate`` ran on its own before it shared ``_bisect``.
+
+    It has no adjacent-float exit, so it never ends once the bracket's
+    float spacing exceeds ``resolution``.
+    """
+    lo = 0.0
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def increasing_curve(draw):
+    """(fn, target, hi): a power or queue-shaped increasing curve on [0, hi], target on its range."""
+    hi = 10.0 ** draw(st.floats(-3.0, math.log10(8e3)))
+    c = draw(st.floats(0.0, 10.0))
+    if draw(st.booleans()):
+        k = draw(st.floats(0.5, 4.0))
+
+        def fn(x):
+            return c + (x / hi) ** k
+    else:
+        wall = hi * (1.0 + 10.0 ** draw(st.floats(-9.0, 0.0)))
+
+        def fn(x):
+            return c + 1.0 / (wall - x)
+    return fn, fn(draw(st.floats(0.0, 1.0)) * hi), hi
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(increasing_curve(), st.floats(-12.0, math.log10(0.5)))
+def test_bisect_keeps_the_bits_of_the_rate_loop(curve, log_resolution):
+    # for hi <= 8e3 the float spacing stays below 1e-12, so the stand-alone loop ends
+    fn, target, hi = curve
+    resolution = 10.0 ** log_resolution
+    expected = _bisect_rate_loop(fn, target, hi, resolution).hex()
+    assert _bisect_rate(fn, target, hi, resolution).hex() == expected
+    if hi > resolution:  # below it _bisect_rate returns 0.5 * hi without bisecting
+        assert _bisect(fn, target, 0.0, hi, resolution).hex() == expected
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(increasing_curve())
+def test_bisect_at_zero_resolution_ends_on_adjacent_floats(curve):
+    fn, target, hi = curve
+    assume(fn(0.0) < target)
+    x = _bisect(fn, target, 0.0, hi, 0.0)
+    below = math.nextafter(x, -math.inf) if x > 0.0 else 0.0
+    # x is the lower end (fn(x) < target) or the upper end (fn(x) >= target) of the last bracket
+    assert fn(below) < target <= fn(math.nextafter(x, math.inf))
 
 
 def test_generic_saturation_error():

@@ -17,6 +17,7 @@ from taskalloc import (
     SolverConfig,
     activation_thresholds,
     average_latency,
+    invert_latency,
     latency,
     marginal_cost,
     solve_nep,
@@ -324,6 +325,34 @@ def test_user_curve_raising_inside_the_multiplier_bisection():
     assert str(exc.value) == "curve undefined at x = 0.31249999968750003"
     assert "_bisect_multiplier" in [entry.name for entry in exc.traceback]
     assert "activation_thresholds" not in [entry.name for entry in exc.traceback]
+
+
+def test_user_curve_inversions_end_where_the_rate_spacing_exceeds_the_resolution():
+    """Each call below inverts a user curve where the rate's float spacing exceeds the
+    resolution (1.8e-12 from 8,192 jobs/s, 1.8e-15 from 8 jobs/s), so the bisection can
+    only end on a bracket of adjacent floats."""
+    mu = 20000.0
+    mm1_shaped = ServerSpec.from_functions(0.0, mu, lambda x: 1.0 / (mu - x),
+                                           lambda x: 1.0 / (mu - x) ** 2)
+    assert invert_latency(mm1_shaped, latency(mm1_shaped, 15000.3)) == pytest.approx(15000.3)
+
+    def power_server(d, mu, k=1.5):
+        return ServerSpec.from_functions(d, mu, lambda x: d + mu ** (k - 1.0) / (mu - x) ** k,
+                                         lambda x: k * mu ** (k - 1.0) / (mu - x) ** (k + 1.0))
+
+    sc = Scenario((ServerSpec.mm1(0.02, 3000.0), power_server(0.01, 10000.0)))
+    for solve in (solve_nep, solve_optimal):
+        assert abs(sum(solve(sc, 11000.0).p) - 1.0) <= 1e-9
+
+    s = ServerSpec.mm1(0.01, 20.0)
+    t = latency(s, 10.0)
+    assert invert_latency(as_generic(s), t, resolution=1e-15) == pytest.approx(10.0)
+    closed = Scenario((s, ServerSpec.mm1(0.05, 30.0)))
+    fine = Scenario((as_generic(s), closed.servers[1]), SolverConfig(resolution=1e-15))
+    for solve in (solve_nep, solve_optimal):
+        p = solve(fine, 25.0).p
+        assert abs(sum(p) - 1.0) <= 1e-9
+        np.testing.assert_allclose(p, solve(closed, 25.0).p, rtol=0.0, atol=1e-7)
 
 
 @st.composite
