@@ -152,16 +152,29 @@ def marginal_cost(s: ServerSpec, x: float) -> float:
     return closed_marginal_cost(s, x)
 
 
+def _check_settings(resolution: float, eps_sat: float) -> None:
+    """Raise ValueError unless 0 < resolution < inf and 0 < eps_sat < 1."""
+    if not (0.0 < resolution < math.inf):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+    if not (0.0 < eps_sat < 1.0):
+        raise ValueError(f"eps_sat must be in (0, 1), got {eps_sat}")
+
+
 def invert_latency(
     s: ServerSpec,
     target: float,
     resolution: float = DEFAULT_RESOLUTION,
     eps_sat: float = EPS_SAT,
 ) -> float:
-    """Rate x with l(x) = target.  Requires target > l(0)."""
+    """Rate x with l(x) = target.  Requires target > l(0).
+
+    A user curve is bisected and needs 0 < resolution < inf and 0 < eps_sat < 1
+    (ValueError otherwise); the closed form uses neither.
+    """
     if target <= s.z0:
         raise DomainError(f"target {target} not above the zero-load latency {s.z0}")
     if s.model is _GENERIC:
+        _check_settings(resolution, eps_sat)
         return _bisect_rate(s.generic.latency_fn, target, s.mu * (1.0 - eps_sat), resolution)
     return closed_invert_latency(s, target)
 
@@ -172,10 +185,14 @@ def invert_marginal(
     resolution: float = DEFAULT_RESOLUTION,
     eps_sat: float = EPS_SAT,
 ) -> float:
-    """Rate x with h(x) = target.  Requires target > h(0) = l(0)."""
+    """Rate x with h(x) = target.  Requires target > h(0) = l(0).
+
+    Settings as for ``invert_latency``.
+    """
     if target <= s.z0:
         raise DomainError(f"target {target} not above the zero-load marginal cost {s.z0}")
     if s.model is _GENERIC:
+        _check_settings(resolution, eps_sat)
         fn = s.generic.latency_fn
         fd = s.generic.derivative_fn
         return _bisect_rate(lambda x: fn(x) + x * fd(x), target, s.mu * (1.0 - eps_sat), resolution)

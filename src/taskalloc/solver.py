@@ -18,9 +18,17 @@ lam.  Servers activate one by one as the load grows; the activation
 thresholds are computed in closed form by inverting the curves of the
 already-active servers at the next server's zero-load latency.
 
+A ``Scenario`` derives what its servers and config fix once, at
+construction: the activation order, the total service rate, the load cap
+and whether a server has a user-supplied curve.  They are not part of ==,
+hash or repr, and ``dataclasses.replace`` derives them afresh.
+
 A single solve binds each active closed-form server's inverse curve once
 (``_bound_inverse``) and evaluates it inline in the multiplier bisection,
 the Newton polish and the final rates, bit for bit as ``_invert_or_zero``.
+Its sums over servers are plain loops in activation order from 0.0 (the
+additions of the builtin ``sum`` on Python 3.11, and of the lockstep
+solve), and the split and mean latency are built from Python floats.
 The threshold table still inverts server by server through
 ``_invert_or_zero``.
 """
@@ -40,6 +48,7 @@ from .latency import (
     QueueModel,
     ServerSpec,
     _bisect,
+    _check_settings,
     closed_invert_latency,
     closed_invert_marginal,
     closed_latency,
@@ -66,10 +75,7 @@ class SolverConfig:
     eps_sat: float = EPS_SAT
 
     def __post_init__(self):
-        if not (0.0 < self.resolution < math.inf):
-            raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
-        if not (0.0 < self.eps_sat < 1.0):
-            raise ValueError(f"eps_sat must be in (0, 1), got {self.eps_sat}")
+        _check_settings(self.resolution, self.eps_sat)
 
 
 @dataclass(frozen=True)
@@ -78,27 +84,32 @@ class Scenario:
 
     Servers may be listed in any order; solver outputs are reported in
     this input order with the activation-order permutation attached.
+    The activation order (``sort_servers``), ``total_mu``, ``load_cap``
+    and ``has_generic()`` are derived once, at construction; they are not
+    in ==, hash or repr, and ``dataclasses.replace`` derives them afresh.
     """
 
     servers: tuple[ServerSpec, ...]
     config: SolverConfig = field(default_factory=SolverConfig)
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    total_mu: float = field(init=False, repr=False, compare=False)
+    load_cap: float = field(init=False, repr=False, compare=False)  # largest admissible rate
+    _generic: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "servers", tuple(self.servers))
-        if len(self.servers) == 0:
+        servers = tuple(self.servers)
+        if len(servers) == 0:
             raise ValueError("a scenario needs at least one server")
-
-    @property
-    def total_mu(self) -> float:
-        return float(sum(s.mu for s in self.servers))
-
-    @property
-    def load_cap(self) -> float:
-        """Largest admissible arrival rate, (1 - eps_sat) * total capacity."""
-        return (1.0 - self.config.eps_sat) * self.total_mu
+        total_mu = float(sum(s.mu for s in servers))
+        object.__setattr__(self, "servers", servers)
+        # stable, so servers with equal zero-load latency keep their input order
+        object.__setattr__(self, "_order", tuple(sorted(range(len(servers)), key=lambda i: servers[i].z0)))
+        object.__setattr__(self, "total_mu", total_mu)
+        object.__setattr__(self, "load_cap", (1.0 - self.config.eps_sat) * total_mu)
+        object.__setattr__(self, "_generic", any(s.model is QueueModel.GENERIC for s in servers))
 
     def has_generic(self) -> bool:
-        return any(s.model is QueueModel.GENERIC for s in self.servers)
+        return self._generic
 
 
 @dataclass(frozen=True)
@@ -131,9 +142,9 @@ def sort_servers(sc: Scenario) -> tuple[int, ...]:
     """Input-order indices sorted by ascending zero-load latency d + 1/mu.
 
     The sort is stable, so servers with equal zero-load latency keep
-    their input order.
+    their input order.  Every call on a scenario returns the same tuple.
     """
-    return tuple(sorted(range(len(sc.servers)), key=lambda i: sc.servers[i].z0))
+    return sc._order
 
 
 def _invert_or_zero(s: ServerSpec, kind: AllocationKind, target: float, cfg: SolverConfig) -> float:
@@ -218,30 +229,33 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
     cfg = sc.config
     table = activation_thresholds(sc, kind)
     order = table.order
-    servers = [sc.servers[i] for i in order]
-    n = len(servers)
+    n = len(order)
 
     # strict comparison: at a threshold the newly activating server still idles
     j = sum(1 for t in table.loads if t < lam)
 
-    p_sorted = np.zeros(n)
+    # sums over servers are plain loops from 0.0 in activation order (see the module docstring)
+    p = [0.0] * n
     if j == 1:
         # single active server: no equation to solve
         x = lam
-        s = servers[0]
+        s = sc.servers[order[0]]
         mult = marginal_cost(s, x) if kind is AllocationKind.OPTIMAL else latency(s, x)
-        p_sorted[0] = 1.0
+        p[order[0]] = 1.0
         mean = latency(s, x)
     else:
-        active = servers[:j]
+        active = [sc.servers[i] for i in order[:j]]
         inverses = [_bound_inverse(s, kind, cfg) for s in active]
 
         def remaining(t: float) -> float:
-            return sum([inv(t) for inv in inverses]) - lam
+            total = 0.0
+            for inv in inverses:
+                total += inv(t)
+            return total - lam
 
         lo = active[-1].z0 + cfg.resolution
         if j < n:
-            hi = servers[j].z0
+            hi = sc.servers[order[j]].z0
         else:
             hi = 2.0 * active[-1].z0
             grow = 0
@@ -262,35 +276,40 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
         if closed:
             # Newton polish to push the normalization residual to rounding level
             for _ in range(3):
-                x_now = [inv(mult) for inv in inverses]
-                slope = sum(
-                    _inverse_slope(s, kind, x) for s, x in zip(active, x_now) if x > 0.0
-                )
+                total = slope = 0.0
+                for s, inv in zip(active, inverses):
+                    x = inv(mult)
+                    total += x
+                    if x > 0.0:
+                        slope += _inverse_slope(s, kind, x)
                 if slope <= 0.0:
                     break
-                step = remaining(mult) / slope
-                nxt = mult - step
+                nxt = mult - (total - lam) / slope
                 if not (lo <= nxt <= hi):
                     break
                 mult = nxt
         rates = [inv(mult) for inv in inverses]
+        total = 0.0
+        for r in rates:
+            total += r
         # The Newton polish leaves a closed-form split exact to rounding, except where the
         # multiplier's resolution (or last bit) outweighs the load and at rare loads just above
         # an activation threshold where the polish stops early.  Generic splits keep the
-        # bisection's error.  Checked before p: rates / lam overflows at a denormal load.
-        if closed and abs(sum(rates) - lam) > SIMPLEX_TOL * lam:
+        # bisection's error.
+        if closed and abs(total - lam) > SIMPLEX_TOL * lam:
             raise ConvergenceError(
-                f"the {kind.value} split of arrival rate {lam} sums to {sum(rates) / lam!r}, "
+                f"the {kind.value} split of arrival rate {lam} sums to {total / lam!r}, "
                 f"not 1: the multiplier could not be resolved finely enough at this load"
             )
-        p_sorted[:j] = np.asarray(rates) / lam
-        mean = float(sum(q * latency(s, r) for q, s, r in zip(p_sorted[:j], active, rates)))
+        mean = 0.0
+        for i, s, r in zip(order, active, rates):
+            q = r / lam
+            p[i] = q
+            mean += q * latency(s, r)
 
-    p = np.zeros(n)
-    p[list(order)] = p_sorted
     return AllocationResult(
         kind=kind,
-        p=p,
+        p=np.array(p),
         multiplier=float(mult),
         active_count=j,
         mean_latency=float(mean),

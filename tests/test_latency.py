@@ -235,6 +235,23 @@ def test_bisect_at_zero_resolution_ends_on_adjacent_floats(curve):
     assert fn(below) < target <= fn(math.nextafter(x, math.inf))
 
 
+@pytest.mark.parametrize("bad", [
+    dict(resolution=math.nan), dict(resolution=math.inf), dict(resolution=0.0),
+    dict(eps_sat=math.nan), dict(eps_sat=0.0), dict(eps_sat=1.0),
+])
+def test_generic_inversions_reject_unusable_settings(bad):
+    # these once gave 0.5 * mu * (1 - eps_sat) = 9.99999999 for the roots 2 and 15 alike, or nan
+    s = ServerSpec.mm1(0.01, 20.0)
+    g = as_generic(s)
+    message = "resolution must be finite" if "resolution" in bad else "eps_sat must be in"
+    for root in (2.0, 15.0):
+        for invert, curve in ((invert_latency, latency), (invert_marginal, marginal_cost)):
+            with pytest.raises(ValueError, match=message):
+                invert(g, curve(s, root), **bad)
+            # the closed form uses neither setting
+            assert invert(s, curve(s, root), **bad) == pytest.approx(root, rel=1e-12)
+
+
 def test_generic_saturation_error():
     # bounded latency model: saturates at 3.0 seconds
     g = ServerSpec.from_functions(0.0, 1.0, lambda x: 1.0 + 2.0 * x, lambda x: 2.0)

@@ -2,16 +2,18 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taskalloc import (
     AllocationKind,
     ConvergenceError,
     InfeasibleLoadError,
+    QueueModel,
     Scenario,
     ServerSpec,
     SolverConfig,
@@ -25,7 +27,7 @@ from taskalloc import (
     sort_servers,
     zero_load_latency,
 )
-from taskalloc.solver import _bound_inverse, _invert_or_zero
+from taskalloc.solver import _bound_inverse, _invert_or_zero, _solve
 
 from conftest import random_loads, random_scenario
 from test_latency import as_generic
@@ -272,6 +274,52 @@ def test_generic_solve_matches_closed_form():
             assert b.multiplier == pytest.approx(a.multiplier, rel=1e-9)
             assert b.p == pytest.approx(a.p, abs=1e-7)
             assert b.mean_latency == pytest.approx(a.mean_latency, rel=1e-9)
+
+
+@st.composite
+def tied_scenario(draw):
+    """Servers from a small pool, so zero-load latencies tie often (0.05 + 1/20 = 0 + 1/10)."""
+    servers = []
+    for _ in range(draw(st.integers(1, 8))):
+        d = draw(st.sampled_from([0.0, 0.05, 0.1]))
+        mu = draw(st.sampled_from([5.0, 10.0, 20.0]))
+        servers.append(draw(st.sampled_from([
+            ServerSpec.mm1(d, mu), ServerSpec.md1(d, mu), ServerSpec.mg1(d, mu, 0.5),
+            as_generic(ServerSpec.mm1(d, mu)),
+        ])))
+    return Scenario(tuple(servers), SolverConfig(eps_sat=draw(st.floats(1e-12, 0.5))))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(tied_scenario(), st.floats(1e-12, 0.5), st.floats(0.05, 0.95))
+def test_derived_scenario_state(sc, eps_sat, frac):
+    servers = sc.servers
+    assert sort_servers(sc) == tuple(sorted(range(len(servers)), key=lambda i: servers[i].z0))
+    assert sc.total_mu.hex() == float(sum(s.mu for s in servers)).hex()
+    assert sc.load_cap.hex() == ((1.0 - sc.config.eps_sat) * sc.total_mu).hex()
+    assert sc.has_generic() == any(s.model is QueueModel.GENERIC for s in servers)
+
+    # derived once and kept out of ==, hash and repr
+    twin = Scenario(list(servers), sc.config)
+    for name in ("_order", "total_mu", "load_cap", "_generic"):
+        object.__setattr__(twin, name, None)
+    assert twin == sc and hash(twin) == hash(sc)
+    assert repr(sc) == f"Scenario(servers={servers!r}, config={sc.config!r})"
+
+    # replace derives afresh and takes no derived field
+    moved = replace(sc, config=SolverConfig(eps_sat=eps_sat))
+    assert moved.load_cap.hex() == ((1.0 - eps_sat) * sc.total_mu).hex()
+    assert sort_servers(moved) == sort_servers(sc)
+    with pytest.raises(ValueError):
+        replace(sc, load_cap=1.0)
+
+    # every table and result shares the scenario's order tuple
+    lam = frac * sc.load_cap
+    for kind in AllocationKind:
+        table = activation_thresholds(sc, kind)
+        assume(all(abs(lam - t) > 1e-6 * lam for t in table.loads))
+        assert table.order is sort_servers(sc)
+        assert _solve(sc, lam, kind).order is sort_servers(sc)
 
 
 def test_scenario_requires_servers():
