@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: solve (and its alias nep), thresholds, sweep, worst,
-simulate, validate.  Every command reads a scenario file; loads are
-given either absolutely with --load (jobs/second) or normalized with
---rho (fraction of total capacity).  Human-readable output is printed
-with 6 significant digits; CSV output keeps full double precision.
+simulate, validate.  Every command reads a scenario file: ``main`` loads
+it and applies --resolution before any command runs, so a file error is
+exit 2 for every command.  Loads are given either absolutely with --load
+(jobs/second) or normalized with --rho (fraction of total capacity).
+Human-readable output is printed with 6 significant digits; CSV output
+keeps full double precision.
 
 Exit codes: 0 success, 2 scenario/argument parse error, 3 infeasible
 load, 4 numeric failure, 5 validation mismatch.
@@ -17,8 +19,6 @@ import csv
 import math
 import sys
 from dataclasses import asdict, replace
-
-import numpy as np
 
 from .delay_modes import DelayMode, poa_under_mode, solve_under_mode, transformed_scenarios
 from .errors import InfeasibleLoadError, ScenarioParseError, TaskAllocError
@@ -101,8 +101,7 @@ def _print_table(header: list[str], widths: list[int], rows: list[list]) -> None
         print(" ".join(f"{c:>{w}}" for c, w in zip(cells, widths)))
 
 
-def _cmd_solve(args) -> int:
-    doc = _load_document(args)
+def _cmd_solve(doc: ScenarioDocument, args) -> int:
     sc = doc.scenario
     lam = _resolve_load(sc, args)
     kind = AllocationKind(args.kind)
@@ -128,8 +127,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_thresholds(args) -> int:
-    doc = _load_document(args)
+def _cmd_thresholds(doc: ScenarioDocument, args) -> int:
     sc = doc.scenario
     kinds = ([AllocationKind(args.kind)] if args.kind != "both"
              else [AllocationKind.OPTIMAL, AllocationKind.NEP])
@@ -149,18 +147,13 @@ def _cmd_thresholds(args) -> int:
     return 0
 
 
-def _sweep_grid(sc: Scenario, doc: ScenarioDocument, args) -> np.ndarray:
-    spec = args.grid or doc.sweep or SweepSpec()
-    if spec.grid is not None:
-        return np.asarray(spec.grid)
-    return default_grid(sc, spec.count, spec.rho_min, spec.rho_max)
-
-
-def _cmd_sweep(args) -> int:
-    doc = _load_document(args)
+def _cmd_sweep(doc: ScenarioDocument, args) -> int:
     sc = doc.scenario
     mode = DelayMode(args.delay_mode)
-    grid = _sweep_grid(sc, doc, args)
+    spec = args.grid or doc.sweep or SweepSpec()
+    grid = spec.grid
+    if grid is None:
+        grid = default_grid(sc, spec.count, spec.rho_min, spec.rho_max)
     points = (poa_points(sc, grid) if mode is DelayMode.WITH_DELAYS
               else [poa_under_mode(sc, float(lam), mode) for lam in grid])
     rows = [[point.lam, point.rho, point.u_opt, point.alpha, point.eta, point.j_opt, point.j_nep]
@@ -173,8 +166,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_worst(args) -> int:
-    doc = _load_document(args)
+def _cmd_worst(doc: ScenarioDocument, args) -> int:
     sc = doc.scenario
     res = worst_case_poa(sc)
     print(f"{'location':<34} {'lam':>12} {'rho':>10} {'eta':>12}")
@@ -185,9 +177,8 @@ def _cmd_worst(args) -> int:
         print(f"{c.location:<34} {lam_s:>12} {rho_s:>10} {_fmt(c.eta):>12}")
         rows.append([c.location, c.lam if c.lam is not None else "",
                      c.lam / sc.total_mu if c.lam is not None else 1.0, c.eta])
-    lam_s = _fmt(res.max.lam) if res.max.lam is not None else "the full-load limit"
     print(f"worst case: eta {_fmt(res.max.eta)} at {res.max.location}"
-          + (f" (lam {lam_s})" if res.max.lam is not None else ""))
+          + (f" (lam {_fmt(res.max.lam)})" if res.max.lam is not None else ""))
     _save_csv(args, ["location", "lam", "rho", "eta"], rows)
     return 0
 
@@ -200,8 +191,7 @@ def _sim_config(doc: ScenarioDocument, args, lam: float, p) -> SimulationConfig:
                             raw_samples_path=getattr(args, "raw", None))
 
 
-def _cmd_simulate(args) -> int:
-    doc = _load_document(args)
+def _cmd_simulate(doc: ScenarioDocument, args) -> int:
     sc = doc.scenario
     lam = _resolve_load(sc, args)
     kind = AllocationKind(args.kind)
@@ -230,8 +220,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    doc = _load_document(args)
+def _cmd_validate(doc: ScenarioDocument, args) -> int:
     sc = doc.scenario
     lam = _resolve_load(sc, args)
     kind = AllocationKind(args.kind)
@@ -331,7 +320,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_load_document(args), args)
     except ScenarioParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

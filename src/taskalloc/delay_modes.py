@@ -12,7 +12,10 @@ without_delays   set every d to 0 for both solving and evaluation.
 uniform_delays   replace every d with the arithmetic mean delay.
 
 The transforms stay out of the solver itself: a mode is just a pair of
-scenarios (one to solve on, one to evaluate on).
+scenarios (one to solve on, one to evaluate on).  The mean delay is
+summed in a plain loop from 0.0, not with the builtin ``sum``, which
+compensates float additions from Python 3.12 on: the loop gives the same
+bits on every supported version.
 """
 
 from __future__ import annotations
@@ -54,7 +57,10 @@ def transformed_scenarios(sc: Scenario, mode: DelayMode) -> tuple[Scenario, Scen
     if mode is DelayMode.WITH_DELAYS:
         return sc, sc
     if mode is DelayMode.UNIFORM_DELAYS:
-        mean_d = sum(s.d for s in sc.servers) / len(sc.servers)
+        total_d = 0.0
+        for s in sc.servers:
+            total_d += s.d
+        mean_d = total_d / len(sc.servers)
         uniform = Scenario(tuple(_with_delay(s, mean_d) for s in sc.servers), sc.config)
         return uniform, uniform
     zeroed = Scenario(tuple(_with_delay(s, 0.0) for s in sc.servers), sc.config)

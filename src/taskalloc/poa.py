@@ -20,6 +20,10 @@ A sweep over a grid of loads solves a closed-form scenario in lockstep
 solver's floating-point steps at once, so each point is bit-identical to
 ``poa_at``.  Generic scenarios, and the delay-mode sweeps of
 ``delay_modes.poa_under_mode``, are solved one load at a time.
+
+The full-load limit sums over servers in a plain loop from 0.0, not with
+the builtin ``sum``, which compensates float additions from Python 3.12
+on: the loop gives the same bits on every supported version.
 """
 
 from __future__ import annotations
@@ -155,8 +159,11 @@ def asymptotic_poa(sc: Scenario) -> float:
     """
     if sc.has_generic():
         raise UnsupportedModelError("no closed-form full-load limit for generic latency models")
-    root_sum = sum(math.sqrt(s.mu * s.a) for s in sc.servers)
-    return sum(s.a for s in sc.servers) * sc.total_mu / (root_sum * root_sum)
+    a_sum = root_sum = 0.0
+    for s in sc.servers:
+        a_sum += s.a
+        root_sum += math.sqrt(s.mu * s.a)
+    return a_sum * sc.total_mu / (root_sum * root_sum)
 
 
 def worst_case_poa(sc: Scenario) -> WorstCaseResult:

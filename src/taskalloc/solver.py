@@ -29,6 +29,9 @@ the Newton polish and the final rates, bit for bit as ``_invert_or_zero``.
 Its sums over servers are plain loops in activation order from 0.0 (the
 additions of the builtin ``sum`` on Python 3.11, and of the lockstep
 solve), and the split and mean latency are built from Python floats.
+The total service rate is a plain loop in server order for the same
+reason: from Python 3.12 on, ``sum`` compensates float additions, and
+the bits would depend on the interpreter version.
 The threshold table still inverts server by server through
 ``_invert_or_zero``.
 """
@@ -100,12 +103,14 @@ class Scenario:
         servers = tuple(self.servers)
         if len(servers) == 0:
             raise ValueError("a scenario needs at least one server")
-        total_mu = float(sum(s.mu for s in servers))
+        total_mu = 0.0
+        for s in servers:
+            total_mu += s.mu
         object.__setattr__(self, "servers", servers)
         # stable, so servers with equal zero-load latency keep their input order
         object.__setattr__(self, "_order", tuple(sorted(range(len(servers)), key=lambda i: servers[i].z0)))
-        object.__setattr__(self, "total_mu", total_mu)
-        object.__setattr__(self, "load_cap", (1.0 - self.config.eps_sat) * total_mu)
+        object.__setattr__(self, "total_mu", float(total_mu))
+        object.__setattr__(self, "load_cap", (1.0 - self.config.eps_sat) * self.total_mu)
         object.__setattr__(self, "_generic", any(s.model is QueueModel.GENERIC for s in servers))
 
     def has_generic(self) -> bool:

@@ -209,6 +209,22 @@ def test_exit_codes(toy_file, tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--load", "1"], ["nep", "--load", "1"], ["thresholds"], ["sweep"], ["worst"],
+    ["simulate", "--load", "1"], ["validate", "--load", "1"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not_json"])
+def test_file_errors_exit_2_for_every_command(command, content, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    if content is None:
+        expected = f"error: {path}: [Errno 2] No such file or directory: '{path}'\n"
+    else:
+        path.write_text(content)
+        expected = f"error: {path}:1:2: Expecting property name enclosed in double quotes\n"
+    assert main([command[0], str(path), *command[1:]]) == 2
+    assert capsys.readouterr() == ("", expected)
+
+
 def test_delay_mode_flag(capsys):
     sc1 = str(SCENARIOS / "scenario1.json")
     assert main(["solve", sc1, "--rho", "0.5", "--delay-mode", "ignoring_delays"]) == 0
