@@ -19,6 +19,7 @@ import csv
 import math
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 
 from .delay_modes import DelayMode, poa_under_mode, solve_under_mode, transformed_scenarios
 from .errors import InfeasibleLoadError, ScenarioParseError, TaskAllocError
@@ -49,14 +50,14 @@ def _grid_spec(text: str) -> SweepSpec:
     return SweepSpec(count=count, rho_min=lo, rho_max=hi)
 
 
-def _resolution(text: str) -> float:
-    """A finite resolution > 0, as the scenario file requires."""
+def _finite(text: str, sign: str = ">") -> float:
+    """A finite flag value ``sign`` 0: > 0 by default, as the file requires of a resolution."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (0.0 < value < math.inf):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got '{text}'")
+    if not (math.isfinite(value) and (value > 0.0 or sign == ">=" and value == 0.0)):
+        raise argparse.ArgumentTypeError(f"expected a finite number {sign} 0, got '{text}'")
     return value
 
 
@@ -183,12 +184,10 @@ def _cmd_worst(doc: ScenarioDocument, args) -> int:
     return 0
 
 
-def _sim_config(doc: ScenarioDocument, args, lam: float, p) -> SimulationConfig:
+def _sim_settings(doc: ScenarioDocument, args) -> SimSettings:
     flags = {"horizon_jobs": args.jobs, "seed": args.seed, "replications": args.reps}
-    sim = replace(doc.simulation or SimSettings(),
-                  **{name: value for name, value in flags.items() if value is not None})
-    return SimulationConfig(lam=lam, p=p, **asdict(sim),
-                            raw_samples_path=getattr(args, "raw", None))
+    return replace(doc.simulation or SimSettings(),
+                   **{name: value for name, value in flags.items() if value is not None})
 
 
 def _cmd_simulate(doc: ScenarioDocument, args) -> int:
@@ -197,7 +196,8 @@ def _cmd_simulate(doc: ScenarioDocument, args) -> int:
     kind = AllocationKind(args.kind)
     solver = solve_optimal if kind is AllocationKind.OPTIMAL else solve_nep
     result = solver(sc, lam)
-    cfg = _sim_config(doc, args, lam, result.p)
+    cfg = SimulationConfig(**asdict(_sim_settings(doc, args)), lam=lam, p=result.p,
+                           raw_samples_path=args.raw)
     report = simulate(sc, cfg)
 
     print(f"kind: {kind.value}    load: {_fmt(lam)} jobs/s    rho: {_fmt(lam / sc.total_mu)}")
@@ -224,9 +224,7 @@ def _cmd_validate(doc: ScenarioDocument, args) -> int:
     sc = doc.scenario
     lam = _resolve_load(sc, args)
     kind = AllocationKind(args.kind)
-    # validate routes by the split it solves; this placeholder only has to be valid
-    cfg = _sim_config(doc, args, lam, [1.0] + [0.0] * (len(sc.servers) - 1))
-    record = validate(sc, lam, kind, cfg, tolerance=args.tolerance)
+    record = validate(sc, lam, kind, _sim_settings(doc, args), tolerance=args.tolerance)
     print(f"kind: {kind.value}    load: {_fmt(lam)} jobs/s")
     print(f"analytic latency:  {_fmt(record.analytic_latency)} s")
     print(f"empirical latency: {_fmt(record.empirical_latency)} s "
@@ -246,7 +244,7 @@ def _add_command(subs, name: str, func, help_text: str, load: bool = True):
     sub = subs.add_parser(name, help=help_text)
     sub.set_defaults(func=func)
     sub.add_argument("scenario", help="path to a scenario file")
-    sub.add_argument("--resolution", type=_resolution, default=None,
+    sub.add_argument("--resolution", type=_finite, default=None,
                      help="override the solver's numerical resolution")
     sub.add_argument("--out", default=None, help="write results as CSV to this path")
     if load:
@@ -310,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     val = _add_command(subs, "validate", _cmd_validate, "check solver output against simulation")
     _add_kind(val)
     _add_simulation(val)
-    val.add_argument("--tolerance", type=float, default=_VALIDATE_TOLERANCE,
+    val.add_argument("--tolerance", type=partial(_finite, sign=">="), default=_VALIDATE_TOLERANCE,
                      help="relative gap allowed between analytic and empirical latency")
 
     return parser

@@ -9,9 +9,10 @@ send-to-receive time.  Queueing is resolved with the Lindley recursion
 in vectorized form, so a run is a handful of array operations per
 server rather than an event loop.
 
-Runs are reproducible: every replication draws arrivals, routing, and
-each server's service times from independent substreams derived from
-the master seed.
+A ``SimulationConfig`` is the run-length ``SimSettings`` plus the load,
+the routing split and a per-job sample file.  Runs are reproducible:
+every replication draws arrivals, routing, and each server's service
+times from independent substreams derived from the master seed.
 
 ``simulate`` averages each server's statistics across replications, with
 a 95% Student-t half-width on its mean latency, and builds the aggregate
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,37 +54,38 @@ _T975 = (
 
 
 @dataclass(frozen=True)
-class SimulationConfig:
-    lam: float
-    p: tuple[float, ...]
+class SimSettings:
+    """The run-length settings of a scenario file's ``simulation`` section."""
+
     horizon_jobs: int = 200_000
-    warmup: float = 0.2
     seed: int = 0
     replications: int = 5
-    raw_samples_path: str | None = None
+    warmup: float = 0.2
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(float(q) for q in self.p))
-        if not (self.lam > 0.0):
-            raise DomainError(f"arrival rate must be > 0, got {self.lam}")
         if self.horizon_jobs <= 0:
             raise DomainError(f"horizon must be > 0 jobs, got {self.horizon_jobs}")
         if not (0.0 <= self.warmup <= 0.5):
             raise DomainError(f"warmup fraction must be in [0, 0.5], got {self.warmup}")
         if self.replications < 1:
             raise DomainError(f"replications must be >= 1, got {self.replications}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SimulationConfig(SimSettings):
+    lam: float
+    p: tuple[float, ...]
+    raw_samples_path: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", tuple(float(q) for q in self.p))
+        if not (self.lam > 0.0):
+            raise DomainError(f"arrival rate must be > 0, got {self.lam}")
+        if self.lam == math.inf:
+            raise DomainError(f"arrival rate must be finite, got {self.lam}")
+        super().__post_init__()
         if any(q < 0.0 for q in self.p) or abs(sum(self.p) - 1.0) > SIMPLEX_TOL:
             raise DomainError("routing probabilities must be non-negative and sum to 1")
-
-
-@dataclass(frozen=True)
-class SimSettings:
-    """The run-length settings of a scenario file's ``simulation`` section."""
-
-    horizon_jobs: int = SimulationConfig.horizon_jobs
-    seed: int = SimulationConfig.seed
-    replications: int = SimulationConfig.replications
-    warmup: float = SimulationConfig.warmup
 
 
 @dataclass(frozen=True)
@@ -253,14 +255,13 @@ def validate(
     sc: Scenario,
     lam: float,
     kind: AllocationKind,
-    cfg: SimulationConfig | None = None,
+    cfg: SimSettings | None = None,
     tolerance: float = _VALIDATE_TOLERANCE,
 ) -> ValidationRecord:
     """Compare a solver's predicted latency against a simulation of its split."""
     solver = solve_optimal if kind is AllocationKind.OPTIMAL else solve_nep
     result = solver(sc, lam)
-    p = tuple(result.p)
-    cfg = SimulationConfig(lam=lam, p=p) if cfg is None else replace(cfg, lam=lam, p=p)
+    cfg = SimulationConfig(**{**asdict(cfg or SimSettings()), "lam": lam, "p": tuple(result.p)})
     report = simulate(sc, cfg)
     gap = abs(report.mean_latency - result.mean_latency) / result.mean_latency
     return ValidationRecord(

@@ -268,10 +268,7 @@ def test_criterion_7_simulator_fidelity():
     ci_notes = []
     for rho in (0.2, 0.337, 0.6):  # 1, 2, and 3 active servers at the NEP
         lam = rho * sc.total_mu
-        cfg = SimulationConfig(lam=lam, p=(1.0, 0.0, 0.0), horizon_jobs=sim.horizon_jobs,
-                               seed=sim.seed, replications=sim.replications,
-                               warmup=sim.warmup)
-        rec = validate(sc, lam, AllocationKind.NEP, cfg)
+        rec = validate(sc, lam, AllocationKind.NEP, sim)
         gap = abs(rec.empirical_latency - rec.analytic_latency)
         ci_notes.append(f"rho={rho}: |gap| {gap:.2e} vs ci {rec.latency_ci:.2e}")
         if gap > rec.latency_ci:

@@ -241,11 +241,38 @@ def test_resolution_override(toy_file, capsys):
     assert "active servers: 2 of 2" in coarse
 
     # rejected as in the scenario file; nan would never end the multiplier bisection
-    for bad in ("nan", "inf", "0", "-1"):
+    for bad in ("nan", "inf", "0", "-1", "abc"):
         with pytest.raises(SystemExit) as exc:
             main(["solve", toy_file, "--load", "1", "--resolution", bad])
         assert exc.value.code == 2
-        assert "--resolution: expected a finite number > 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.endswith(f"--resolution: expected a finite number > 0, got '{bad}'\n")
+
+
+def test_tolerance_must_be_finite_and_non_negative(toy_file, capsys):
+    args = ["validate", toy_file, "--load", "1", "--jobs", "2000", "--reps", "2"]
+    for bad in ("nan", "-1", "inf", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--tolerance", bad])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"--tolerance: expected a finite number >= 0, got '{bad}'\n")
+    # a zero tolerance is a valid, if strict, request
+    assert main(args + ["--tolerance", "0"]) == 5
+    assert capsys.readouterr().out.endswith("FAIL\n")
+
+
+@pytest.mark.parametrize("load", ["-1", "0", "nan"])
+def test_nonpositive_load_exits_3_for_every_command(load, toy_file, capsys):
+    results = []
+    for command in ("solve", "nep", "simulate", "validate"):
+        code = main([command, toy_file, "--load", load])
+        results.append((code, *capsys.readouterr()))
+    assert results == [(3, "", f"error: arrival rate must be > 0, got {float(load)}\n")] * 4
+    # the simulation flags are checked before the load
+    assert main(["validate", toy_file, "--load", load, "--jobs", "-5"]) == 4
+    assert capsys.readouterr() == ("", "error: horizon must be > 0 jobs, got -5\n")
 
 
 def _write(tmp_path, name: str, **sections) -> str:

@@ -290,6 +290,7 @@ def test_slope_is_derivative():
         eps = 1e-7 * s.mu
         fd = (latency(s, x + eps) - latency(s, x - eps)) / (2.0 * eps)
         assert latency_slope(s, x) == pytest.approx(fd, rel=1e-5)
+        assert latency_slope(as_generic(s), x) == pytest.approx(fd, rel=1e-5)
         assert marginal_cost(s, x) == pytest.approx(latency(s, x) + x * latency_slope(s, x),
                                                     rel=1e-14)
 

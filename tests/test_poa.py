@@ -79,6 +79,22 @@ def test_worst_case_examples(toy):
     assert len(res.candidates) == 1
 
 
+def test_worst_case_skips_ties_and_repeated_thresholds():
+    """Servers tied with the first activate at load 0, and two servers that
+    activate at the same load give one candidate."""
+    mm1 = ServerSpec.mm1
+    sc = Scenario((mm1(0.02, 10), mm1(0.02, 10), mm1(0.05, 8), mm1(0.05, 8), mm1(0.1, 20)))
+    loads = activation_thresholds(sc, AllocationKind.NEP).loads
+    assert loads[:2] == (0.0, 0.0) and loads[3] == loads[4] > loads[2] > 0.0
+    res = worst_case_poa(sc)
+    assert [(c.location, c.lam) for c in res.candidates] == [
+        ("nep activation of server 3", loads[2]),
+        ("nep activation of server 4", loads[3]),
+        ("full-load limit", None),
+    ]
+    assert res.candidates[0].eta == poa_at(sc, loads[2]).eta
+
+
 def test_worst_case_scenario1():
     res = worst_case_poa(SCENARIO1)
     table = activation_thresholds(SCENARIO1, AllocationKind.NEP)

@@ -13,6 +13,7 @@ from taskalloc import (
     DomainError,
     Scenario,
     ServerSpec,
+    SimSettings,
     SimulationConfig,
     UnsupportedModelError,
     latency,
@@ -128,6 +129,33 @@ def test_config_validation():
         SimulationConfig(lam=1.0, p=(0.7, 0.2))
     with pytest.raises(DomainError):
         SimulationConfig(lam=1.0, p=(1.2, -0.2))
+    with pytest.raises(DomainError, match="arrival rate must be finite, got inf"):
+        SimulationConfig(lam=math.inf, p=(1.0,), horizon_jobs=1000, replications=2)
+
+
+def test_settings_checks_and_their_order():
+    """SimSettings checks the run length; a config checks the load first, the split last."""
+    for kwargs, message in [
+        (dict(horizon_jobs=0, warmup=0.6, replications=0), "horizon must be > 0 jobs, got 0"),
+        (dict(warmup=0.6, replications=0), "warmup fraction must be in [0, 0.5], got 0.6"),
+        (dict(replications=0), "replications must be >= 1, got 0"),
+    ]:
+        with pytest.raises(DomainError) as settings_error:
+            SimSettings(**kwargs)
+        assert str(settings_error.value) == message
+        with pytest.raises(DomainError) as config_error:
+            SimulationConfig(lam=1.0, p=(0.5,), **kwargs)
+        assert str(config_error.value) == message
+    with pytest.raises(DomainError, match="arrival rate must be > 0, got -1"):
+        SimulationConfig(lam=-1.0, p=(0.5,), horizon_jobs=0)
+    with pytest.raises(DomainError, match="arrival rate must be > 0, got nan"):
+        SimulationConfig(lam=math.nan, p=(1.0,))
+
+
+def test_routing_vector_must_match_servers(toy):
+    cfg = SimulationConfig(lam=1.0, p=(1.0,), horizon_jobs=1_000)
+    with pytest.raises(DomainError, match="routing vector has 1 entries for 2 servers"):
+        simulate(toy, cfg)
 
 
 def test_exponential_service_is_gamma_of_shape_one():
@@ -171,6 +199,27 @@ def test_validate_respects_cfg_and_tolerance(toy):
     # the solver's split overrides whatever p the template carried
     nep = solve_nep(toy, 1.0)
     assert rec.analytic_latency == pytest.approx(nep.mean_latency, rel=1e-12)
+
+
+def test_validate_takes_settings_or_a_config(tmp_path, toy):
+    """Settings alone give the bits of a config with a placeholder split and the
+    same settings; a config keeps its sample file."""
+    settings = SimSettings(horizon_jobs=3_000, seed=4, replications=2, warmup=0.1)
+    raw = tmp_path / "raw.csv"
+    config = SimulationConfig(lam=0.5, p=(1.0, 0.0), raw_samples_path=str(raw),
+                              **dataclasses.asdict(settings))
+
+    def bits(rec):
+        floats = (rec.lam, rec.analytic_latency, rec.empirical_latency, rec.latency_ci,
+                  rec.relative_gap, rec.tolerance)
+        return [x.hex() for x in floats], rec.passed, rec.report
+
+    by_settings = validate(toy, 1.0, AllocationKind.NEP, settings, tolerance=0.2)
+    assert not list(tmp_path.iterdir())
+    by_config = validate(toy, 1.0, AllocationKind.NEP, config, tolerance=0.2)
+    assert bits(by_settings) == bits(by_config)
+    assert by_settings.report.replications == 2
+    assert (tmp_path / "raw.rep0.csv").exists() and (tmp_path / "raw.rep1.csv").exists()
 
 
 def test_raw_samples_csv(tmp_path, toy):

@@ -128,6 +128,8 @@ def test_average_latency_errors(toy):
         average_latency(toy, [0.2, 0.8], 1.5)  # second server overloaded
     with pytest.raises(DomainError):
         average_latency(toy, [0.7, 0.7], 1.0)  # not on the simplex
+    with pytest.raises(DomainError, match=r"shape \(3,\), expected \(2,\)"):
+        average_latency(toy, [0.5, 0.25, 0.25], 1.0)
 
 
 def test_infeasible_loads(toy):
