@@ -10,6 +10,8 @@ keeps full double precision.
 
 Exit codes: 0 success, 2 scenario/argument parse error, 3 infeasible
 load, 4 numeric failure, 5 validation mismatch.
+
+numpy is imported at first use: only sweep, simulate and validate load it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .latency import latency, zero_load_latency
 from .poa import SweepSpec, default_grid, poa_points, worst_case_poa
 from .scenario_io import ScenarioDocument, load_scenario_file
 from .simulator import _VALIDATE_TOLERANCE, SimSettings, SimulationConfig, simulate, validate
-from .solver import AllocationKind, Scenario, activation_thresholds, solve_nep, solve_optimal
+from .solver import AllocationKind, Scenario, _split, activation_thresholds, solve_nep, solve_optimal
 
 
 def _fmt(x: float) -> str:
@@ -118,10 +120,10 @@ def _cmd_solve(doc: ScenarioDocument, args) -> int:
     print(f"solved mean latency: {_fmt(result.mean_latency)} s")
     print(f"evaluated mean latency: {_fmt(moded.evaluated_latency)} s")
     rows = []
-    for i, s in enumerate(sc.servers):
-        x = float(result.p[i]) * lam
+    for i, (s, q) in enumerate(zip(sc.servers, _split(result))):
+        x = float(q) * lam
         lat = latency(eval_sc.servers[i], x)
-        rows.append([i, s.d * 1000.0, s.mu, s.cv, s.model.value, float(result.p[i]), x, lat])
+        rows.append([i, s.d * 1000.0, s.mu, s.cv, s.model.value, float(q), x, lat])
     header = ["server", "d_ms", "mu", "cv", "model", "p", "rate", "latency_s"]
     _print_table(header, [6, 10, 10, 6, 7, 12, 12, 12], rows)
     _save_csv(args, header, rows)

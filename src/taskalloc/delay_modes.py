@@ -15,7 +15,8 @@ The transforms stay out of the solver itself: a mode is just a pair of
 scenarios (one to solve on, one to evaluate on).  The mean delay is
 summed in a plain loop from 0.0, not with the builtin ``sum``, which
 compensates float additions from Python 3.12 on: the loop gives the same
-bits on every supported version.
+bits on every supported version.  A split is priced from the solver's
+floats (``solver._split``), so a moded solve imports no numpy.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .solver import (
     AllocationKind,
     AllocationResult,
     Scenario,
+    _split,
     average_latency,
     solve_nep,
     solve_optimal,
@@ -83,7 +85,7 @@ def solve_under_mode(sc: Scenario, lam: float, kind: AllocationKind, mode: Delay
     return ModedAllocation(
         mode=mode,
         result=result,
-        evaluated_latency=average_latency(eval_sc, result.p, lam),
+        evaluated_latency=average_latency(eval_sc, _split(result), lam),
     )
 
 

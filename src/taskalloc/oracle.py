@@ -7,14 +7,12 @@ best responses until all loaded servers see the same latency.  Both are
 kept independent of the closed-form solvers so the two can be compared
 in tests and by the command-line ``validate`` command.  Do not call
 them from production paths: the grid is exponential in the number of
-servers.
+servers.  numpy is imported at first use, in each function that builds arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConvergenceError, InfeasibleLoadError
 from .latency import QueueModel, latency
@@ -40,11 +38,15 @@ def _check_load(sc: Scenario, lam: float) -> None:
 
 
 def _caps(sc: Scenario) -> np.ndarray:
+    import numpy as np
+
     return np.array([s.mu * (1.0 - sc.config.eps_sat) for s in sc.servers])
 
 
 def _u_of(sc: Scenario, lam: float):
     """U(p) as a plain function of the probability vector, +inf when overloaded."""
+    import numpy as np
+
     caps = _caps(sc)
 
     def u(p: np.ndarray) -> float:
@@ -62,6 +64,8 @@ def _u_of(sc: Scenario, lam: float):
 
 def _simplex_grid(n: int, k: int) -> np.ndarray:
     """All probability vectors with components that are multiples of 1/k."""
+    import numpy as np
+
     if n == 1:
         return np.ones((1, 1))
     axes = np.meshgrid(*([np.arange(k + 1)] * (n - 1)), indexing="ij")
@@ -74,6 +78,8 @@ def _simplex_grid(n: int, k: int) -> np.ndarray:
 
 def _u_pool(sc: Scenario, lam: float, pool: np.ndarray) -> np.ndarray:
     """U(p) for a whole pool of probability vectors at once, +inf when overloaded."""
+    import numpy as np
+
     caps = _caps(sc)
     values = np.zeros(len(pool))
     bad = np.zeros(len(pool), dtype=bool)
@@ -136,6 +142,8 @@ def _refine(sc: Scenario, lam: float, p: np.ndarray, window: float) -> np.ndarra
 
 def brute_force_optimal(sc: Scenario, lam: float, cfg: OracleConfig = OracleConfig()) -> np.ndarray:
     """Minimize U(p) by simplex enumeration plus local polishing."""
+    import numpy as np
+
     _check_load(sc, lam)
     n = len(sc.servers)
     k = max(1, round(1.0 / cfg.grid_step))
@@ -182,6 +190,8 @@ def best_response_nep(sc: Scenario, lam: float, cfg: OracleConfig = OracleConfig
     equilibrium, so the iteration cannot cycle and the fixed point does
     not depend on the start.
     """
+    import numpy as np
+
     _check_load(sc, lam)
     caps = _caps(sc)
     mu = np.array([s.mu for s in sc.servers])
@@ -222,6 +232,8 @@ def check_no_profitable_deviation(
     the total); the move must beat the source latency by more than
     br_tolerance to count as profitable.
     """
+    import numpy as np
+
     p = np.asarray(p, dtype=float)
     if delta is None:
         delta = 1e-6 * lam

@@ -24,6 +24,9 @@ solver's floating-point steps at once, so each point is bit-identical to
 The full-load limit sums over servers in a plain loop from 0.0, not with
 the builtin ``sum``, which compensates float additions from Python 3.12
 on: the loop gives the same bits on every supported version.
+
+numpy is imported at first use, by the grids and sweeps: ``poa_at`` and
+``worst_case_poa`` run without it.
 """
 
 from __future__ import annotations
@@ -31,9 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import UnsupportedModelError
+from .errors import DomainError, UnsupportedModelError
 from .solver import (
     AllocationKind,
     Scenario,
@@ -108,16 +109,36 @@ class SweepSpec:
     rho_min: float = 0.01
     rho_max: float = 0.999
 
+    def __post_init__(self):
+        # the checks of a scenario file's sweep section, so that every spec dumps to a valid file
+        if self.grid is not None:
+            grid = tuple(self.grid)
+            object.__setattr__(self, "grid", grid)
+            if (self.count, self.rho_min, self.rho_max) != (SweepSpec.count, SweepSpec.rho_min,
+                                                             SweepSpec.rho_max):
+                raise DomainError("a sweep grid excludes the count/rho settings")
+            if not (grid and all(math.isfinite(lam) for lam in grid) and grid[0] > 0
+                    and all(b > a for a, b in zip(grid, grid[1:]))):
+                raise DomainError(f"grid must be finite, positive and strictly increasing, got {grid}")
+        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 2:
+            raise DomainError(f"sweep count must be an integer >= 2, got {self.count!r}")
+        if not (0.0 < self.rho_min < self.rho_max < 1.0):
+            raise DomainError(f"need 0 < rho_min < rho_max < 1, got {self.rho_min}, {self.rho_max}")
+
 
 def default_grid(sc: Scenario, count: int = SweepSpec.count, rho_lo: float = SweepSpec.rho_min,
                  rho_hi: float = SweepSpec.rho_max) -> np.ndarray:
     """Load grid log-spaced in 1 - rho, to resolve the near-saturation rise."""
+    import numpy as np
+
     gap = np.logspace(math.log10(1.0 - rho_lo), math.log10(1.0 - rho_hi), count)
     return sc.total_mu * (1.0 - gap)
 
 
 def poa_sweep(sc: Scenario, grid) -> PoaCurve:
     """Price of anarchy over a strictly increasing grid of arrival rates."""
+    import numpy as np
+
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-d sequence of arrival rates")
@@ -137,6 +158,8 @@ def poa_points(sc: Scenario, grid) -> tuple[PoaPoint, ...]:
     lams = [float(lam) for lam in grid]
     if sc.has_generic():
         return tuple(poa_at(sc, lam) for lam in lams)
+    import numpy as np
+
     loads = np.array(lams)
     _, u_opt, j_opt, opt_ok = solve_lockstep(sc, loads, AllocationKind.OPTIMAL)
     alpha, u_nep, j_nep, nep_ok = solve_lockstep(sc, loads, AllocationKind.NEP)

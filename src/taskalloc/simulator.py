@@ -20,6 +20,8 @@ a 95% Student-t half-width on its mean latency, and builds the aggregate
 sojourn are weighted by completions over all servers, utilization is the
 mean over servers and ``completed`` is the total.  That row leaves ``p``
 and ``arrival_rate`` blank.
+
+numpy is imported at first use, by the functions that draw and reduce the samples.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
 
 from .errors import DomainError, UnsupportedModelError
 from .latency import QueueModel, ServerSpec
@@ -84,6 +84,8 @@ class SimulationConfig(SimSettings):
         if self.lam == math.inf:
             raise DomainError(f"arrival rate must be finite, got {self.lam}")
         super().__post_init__()
+        if self.seed < 0:  # numpy's seeding would reject it without naming the seed
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if any(q < 0.0 for q in self.p) or abs(sum(self.p) - 1.0) > SIMPLEX_TOL:
             raise DomainError("routing probabilities must be non-negative and sum to 1")
 
@@ -124,12 +126,16 @@ class ValidationRecord:
 
 
 def _rng(seed: int, rep: int, purpose: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence((seed, rep, purpose)))
 
 
 def _service_times(s: ServerSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     if s.model is QueueModel.GENERIC:
         raise UnsupportedModelError("generic latency models define no service distribution")
+    import numpy as np
+
     if s.cv == 0.0:
         return np.full(count, 1.0 / s.mu)
     # gamma with shape 1 draws exactly what rng.exponential(1/mu) would
@@ -138,6 +144,8 @@ def _service_times(s: ServerSpec, count: int, rng: np.random.Generator) -> np.nd
 
 
 def _one_replication(sc: Scenario, cfg: SimulationConfig, rep: int):
+    import numpy as np
+
     n = len(sc.servers)
     n_jobs = cfg.horizon_jobs
     arrivals = np.cumsum(_rng(cfg.seed, rep, _ARRIVALS).exponential(1.0 / cfg.lam, size=n_jobs))
@@ -184,6 +192,8 @@ def _one_replication(sc: Scenario, cfg: SimulationConfig, rep: int):
 
 def _mean_ci(values: np.ndarray) -> tuple[float, float]:
     """Mean and 95% confidence half-width across replications, NaN-aware."""
+    import numpy as np
+
     values = values[~np.isnan(values)]
     if values.size == 0:
         return math.nan, math.nan
@@ -206,6 +216,8 @@ def _mean_ci(values: np.ndarray) -> tuple[float, float]:
 
 def simulate(sc: Scenario, cfg: SimulationConfig) -> SimulationReport:
     """Run ``cfg.replications`` independent replications and aggregate."""
+    import numpy as np
+
     n = len(sc.servers)
     if len(cfg.p) != n:
         raise DomainError(f"routing vector has {len(cfg.p)} entries for {n} servers")

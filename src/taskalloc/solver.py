@@ -34,6 +34,10 @@ reason: from Python 3.12 on, ``sum`` compensates float additions, and
 the bits would depend on the interpreter version.
 The threshold table still inverts server by server through
 ``_invert_or_zero``.
+
+numpy is imported at first use, by the lockstep solve: a result keeps the
+split as the Python floats it was built from, and ``AllocationResult.p``
+becomes a float64 array when it is first read.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError, InfeasibleLoadError, InversionError, SaturationError
 from .latency import (
@@ -131,16 +133,57 @@ class ThresholdTable:
     loads: tuple[float, ...]
 
 
+class _Split(list):
+    """A solved split as Python floats, in input order, until ``AllocationResult.p`` is read."""
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (len(self),)
+
+
+class _ArrayOnRead:
+    """``AllocationResult.p``: a solver's ``_Split`` becomes a float64 array at first read.
+
+    A data descriptor used as the field's default (the dataclasses pattern for
+    descriptor-typed fields).  Its class-level read raises AttributeError, so
+    the field keeps no default.  The value lives in the instance dict under
+    the field's name, which keeps pickling, ``replace`` and ``asdict`` as they
+    are; any value other than a ``_Split`` is returned as passed.
+    """
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if type(value) is _Split:
+            import numpy as np
+
+            value = obj.__dict__[self.name] = np.array(value)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class AllocationResult:
     """A task split over the scenario's servers, in input order."""
 
     kind: AllocationKind
-    p: np.ndarray
+    p: np.ndarray = _ArrayOnRead()
     multiplier: float
     active_count: int
     mean_latency: float
     order: tuple[int, ...]
+
+
+def _split(res: AllocationResult):
+    """``res.p``, but a solver's split as its Python floats while no array has been built."""
+    value = res.__dict__["p"]
+    return value if type(value) is _Split else res.p
 
 
 def sort_servers(sc: Scenario) -> tuple[int, ...]:
@@ -240,7 +283,7 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
     j = sum(1 for t in table.loads if t < lam)
 
     # sums over servers are plain loops from 0.0 in activation order (see the module docstring)
-    p = [0.0] * n
+    p = _Split([0.0] * n)
     if j == 1:
         # single active server: no equation to solve
         x = lam
@@ -314,7 +357,7 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
 
     return AllocationResult(
         kind=kind,
-        p=np.array(p),
+        p=p,
         multiplier=float(mult),
         active_count=j,
         mean_latency=float(mean),
@@ -343,6 +386,8 @@ def solve_lockstep(sc: Scenario, lams: np.ndarray, kind: AllocationKind):
     region, a non-finite value or a split near the simplex tolerance.
     Solve those loads per point.
     """
+    import numpy as np
+
     table = activation_thresholds(sc, kind)
     servers = [sc.servers[i] for i in table.order]
     s = servers[0]
@@ -365,6 +410,8 @@ def solve_lockstep(sc: Scenario, lams: np.ndarray, kind: AllocationKind):
 
 def _lockstep_active(servers, lam, j, kind, cfg):
     """The j > 1 branch of ``_solve`` on loads ``lam``: (multiplier, mean, bad)."""
+    import numpy as np
+
     n = len(servers)
     z0 = np.array([s.z0 for s in servers])
     active = [k < j for k in range(n)]
@@ -462,11 +509,19 @@ def solve_nep(sc: Scenario, lam: float) -> AllocationResult:
 
 
 def average_latency(sc: Scenario, p, lam: float) -> float:
-    """Average latency U(p) = sum_i p_i * l_i(p_i * lam) of an arbitrary split."""
-    p = np.asarray(p, dtype=float)
+    """Average latency U(p) = sum_i p_i * l_i(p_i * lam) of an arbitrary split.
+
+    A solver's split (``_split``) is read as its floats, anything else as a
+    float64 array.  The simplex check sums in numpy's order (``_pairwise_sum``),
+    so it decides as ``p.sum()`` would.
+    """
+    if type(p) is not _Split:
+        import numpy as np
+
+        p = np.asarray(p, dtype=float)
     if p.shape != (len(sc.servers),):
         raise DomainError(f"probability vector has shape {p.shape}, expected ({len(sc.servers)},)")
-    if np.any(p < -1e-12) or abs(float(p.sum()) - 1.0) > SIMPLEX_TOL:
+    if any(q < -1e-12 for q in p) or abs(_pairwise_sum(p) - 1.0) > SIMPLEX_TOL:
         raise DomainError("probability vector is not on the simplex")
     total = 0.0
     for q, s in zip(p, sc.servers):
@@ -477,3 +532,38 @@ def average_latency(sc: Scenario, p, lam: float) -> float:
             raise DomainError(f"rate {x} overloads a server with capacity {s.mu}")
         total += q * latency(s, x)
     return float(total)
+
+
+def _pairwise_sum(a) -> float:
+    """``numpy.add.reduce`` of a float64 vector, bit for bit: its identity 0.0 plus ``_pairwise``.
+
+    Checked against numpy 2.4 (tests/test_allocation_result.py).
+    """
+    return 0.0 + _pairwise(a, 0, len(a))
+
+
+def _pairwise(a, lo: int, n: int) -> float:
+    """numpy's pairwise sum of ``a[lo:lo + n]``.
+
+    Below 8 entries, one running sum from 0.0; up to 128, eight interleaved
+    running sums, combined in pairs, then the remainder one by one; above
+    that, the sums of two halves split at a multiple of 8.
+    """
+    if n < 8:
+        total = 0.0
+        for i in range(lo, lo + n):
+            total += a[i]
+        return total
+    if n <= 128:
+        r = list(a[lo:lo + 8])
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop, 8):
+            for k in range(8):
+                r[k] += a[i + k]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(stop, lo + n):
+            total += a[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise(a, lo, half) + _pairwise(a, lo + half, n - half)

@@ -191,6 +191,15 @@ def test_exit_codes(toy_file, tmp_path, capsys):
     assert main(["simulate", toy_file, "--load", "1", "--jobs", "-5"]) == 4
     err = capsys.readouterr().err
     assert "horizon" in err
+    assert main(["simulate", toy_file, "--load", "1", "--seed", "-1"]) == 4
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert main(["validate", toy_file, "--load", "1", "--jobs", "-5", "--seed", "-1"]) == 4
+    assert "horizon must be > 0 jobs, got -5" in capsys.readouterr().err
+    negative_seed = tmp_path / "negative_seed.json"
+    negative_seed.write_text(json.dumps(dict(TOY, simulation={"seed": -1})))
+    assert main(["solve", str(negative_seed), "--load", "1"]) == 0
+    assert main(["simulate", str(negative_seed), "--load", "1"]) == 4
+    assert capsys.readouterr().err.endswith("error: seed must be >= 0, got -1\n")
 
     # non-finite numbers in the file are parse errors, not NaN answers
     for servers, solver in [

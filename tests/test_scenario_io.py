@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskalloc import (
+    DomainError,
     QueueModel,
     ScenarioDocument,
     ScenarioParseError,
@@ -247,6 +248,43 @@ def _section_error(section: str, value) -> ScenarioParseError:
 def test_sweep_validation(sweep, message, location):
     err = _section_error("sweep", sweep)
     assert (str(err), err.location) == (message, location)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"count": 1}, {"count": 2.5}, {"count": True}, {"rho_min": 0.9, "rho_max": 0.5},
+    {"rho_min": 0.0}, {"rho_max": 1.0}, {"rho_min": math.nan}, {"grid": ()},
+    {"grid": (2.0, 1.0)}, {"grid": (0.0, 1.0)}, {"grid": (1.0, 1.0)}, {"grid": (1.0, math.inf)},
+    {"grid": (1.0, 2.0), "count": 5},
+])
+def test_sweep_spec_rejects_what_the_parser_rejects(kwargs):
+    with pytest.raises(DomainError):
+        SweepSpec(**kwargs)
+
+
+@st.composite
+def _sweep_kwargs(draw):
+    """Any mix of SweepSpec arguments, valid or not; an omitted one takes its default."""
+    kwargs = {}
+    if draw(st.booleans()):
+        kwargs["grid"] = draw(st.lists(st.floats() | st.integers(-3, 10**9), max_size=5).map(tuple)
+                              | st.lists(_positive, min_size=1, unique=True).map(sorted).map(tuple))
+    for name, values in (("count", st.integers(-3, 10**9) | st.floats(0.0, 10.0)),
+                         ("rho_min", _open_unit | st.floats()),
+                         ("rho_max", _open_unit | st.floats())):
+        if draw(st.booleans()):
+            kwargs[name] = draw(values)
+    return kwargs
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_sweep_kwargs())
+def test_every_sweep_spec_that_constructs_dumps_and_reparses_equal(kwargs):
+    try:
+        spec = SweepSpec(**kwargs)
+    except DomainError:
+        return
+    doc = ScenarioDocument(parse_scenario(MINIMAL).scenario, sweep=spec)
+    assert parse_scenario(dump_scenario(doc)) == doc
 
 
 @pytest.mark.parametrize("sim, message, location", [

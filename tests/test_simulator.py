@@ -152,6 +152,15 @@ def test_settings_checks_and_their_order():
         SimulationConfig(lam=math.nan, p=(1.0,))
 
 
+def test_a_negative_seed_is_named_after_the_run_length_checks():
+    with pytest.raises(DomainError) as error:
+        SimulationConfig(lam=1.0, p=(0.5, 0.5), seed=-1)
+    assert str(error.value) == "seed must be >= 0, got -1"
+    with pytest.raises(DomainError, match="horizon must be > 0 jobs, got -5"):
+        SimulationConfig(lam=1.0, p=(0.5, 0.5), horizon_jobs=-5, seed=-1)
+    assert SimSettings(seed=-1).seed == -1  # a file's settings are only checked when they run
+
+
 def test_routing_vector_must_match_servers(toy):
     cfg = SimulationConfig(lam=1.0, p=(1.0,), horizon_jobs=1_000)
     with pytest.raises(DomainError, match="routing vector has 1 entries for 2 servers"):

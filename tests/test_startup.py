@@ -1,12 +1,18 @@
-"""Start-up cost: the CLI commands import scipy only where they need it.
+"""Start-up cost: the CLI commands import numpy and scipy only where they need them.
+
+numpy takes about 100 ms to import, most of a light command's wall time.
+The package imports it at first use, in the functions that build arrays,
+so ``import taskalloc`` and the commands ``solve`` (and ``nep``),
+``thresholds`` and ``worst`` load no numpy module; ``sweep``, ``simulate``
+and ``validate`` load it when they first need it.
 
 scipy takes about 1 s and 70 MB to import, most of a short CLI run.
 The oracle's polish (``oracle._refine``) imports it at first use.  The
 simulator's confidence interval (``simulator._mean_ci``) reads its
 Student-t quantile from a stored table up to 30 degrees of freedom, so
 ``simulate`` and ``validate`` load scipy only with more than 31
-replications.  The check runs in a fresh interpreter, because the test
-process itself has long since imported scipy.
+replications.  The checks run in a fresh interpreter, because the test
+process itself has long since imported both.
 """
 
 import json
@@ -21,36 +27,44 @@ PROBE = r"""
 import io, json, sys
 from contextlib import redirect_stdout
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules(name):
+    return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
 
+import taskalloc
+seen = {"numpy_import": modules("numpy")}
 from taskalloc import cli
-seen = {"import": scipy_modules()}
+seen["import"] = modules("scipy")
+seen["numpy_import_cli"] = modules("numpy")
 
 scenario = sys.argv[1]
 codes = {}
-for argv in (["solve", scenario, "--rho", "0.8"],
-             ["nep", scenario, "--rho", "0.8"],
-             ["thresholds", scenario],
-             ["worst", scenario],
-             ["sweep", scenario]):
+light = {f"solve {mode}": ["solve", scenario, "--rho", "0.8", "--delay-mode", mode]
+         for mode in ("with_delays", "ignoring_delays", "without_delays", "uniform_delays")}
+light["nep ignoring_delays"] = ["nep", scenario, "--rho", "0.8", "--delay-mode", "ignoring_delays"]
+light["thresholds both"] = ["thresholds", scenario, "--kind", "both"]
+light["worst"] = ["worst", scenario]
+for name, argv in light.items():
     with redirect_stdout(io.StringIO()):
-        codes[argv[0]] = cli.main(argv)
-seen["light"] = scipy_modules()
+        codes[name] = cli.main(argv)
+seen["numpy_light"] = modules("numpy")
+
+with redirect_stdout(io.StringIO()):
+    codes["sweep"] = cli.main(["sweep", scenario])
+seen["light"] = modules("scipy")
 
 with redirect_stdout(io.StringIO()):
     codes["simulate"] = cli.main(["simulate", scenario, "--rho", "0.5", "--jobs", "2000",
                                   "--reps", "2"])
-seen["simulate"] = scipy_modules()
+seen["simulate"] = modules("scipy")
 
 with redirect_stdout(io.StringIO()):
     codes["validate"] = cli.main(["validate", scenario, "--rho", "0.5"])
-seen["validate"] = scipy_modules()
+seen["validate"] = modules("scipy")
 
 with redirect_stdout(io.StringIO()):
     codes["simulate_31"] = cli.main(["simulate", scenario, "--rho", "0.5", "--jobs", "2000",
                                      "--reps", "31"])
-seen["simulate_31"] = scipy_modules()
+seen["simulate_31"] = modules("scipy")
 
 with redirect_stdout(io.StringIO()):
     codes["simulate_33"] = cli.main(["simulate", scenario, "--rho", "0.5", "--jobs", "2000",
@@ -72,10 +86,15 @@ def test_light_commands_do_not_import_scipy():
         capture_output=True, text=True, env=env, cwd=ROOT, check=True,
     )
     seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["numpy_import"] == []
+    assert seen["numpy_import_cli"] == []
+    assert seen["numpy_light"] == []
     assert seen["import"] == []
     assert seen["codes"] == {name: 0 for name in
-                             ("solve", "nep", "thresholds", "worst", "sweep", "simulate",
-                              "validate", "simulate_31", "simulate_33")}
+                             ("solve with_delays", "solve ignoring_delays", "solve without_delays",
+                              "solve uniform_delays", "nep ignoring_delays", "thresholds both",
+                              "worst", "sweep", "simulate", "validate", "simulate_31",
+                              "simulate_33")}
     assert seen["light"] == []
     assert seen["simulate"] == []
     assert seen["validate"] == []
