@@ -9,6 +9,11 @@ send-to-receive time.  Queueing is resolved with the Lindley recursion
 in vectorized form, so a run is a handful of array operations per
 server rather than an event loop.
 
+Routing is an inverse-CDF lookup of one uniform draw per job from the
+routing substream: the draws, and so the servers, that
+``Generator.choice`` would give.  Each server's job indices come out
+ascending, so the jobs kept after the warmup are a suffix of them.
+
 A ``SimulationConfig`` is the run-length ``SimSettings`` plus the load,
 the routing split and a per-job sample file.  Runs are reproducible:
 every replication draws arrivals, routing, and each server's service
@@ -143,14 +148,36 @@ def _service_times(s: ServerSpec, count: int, rng: np.random.Generator) -> np.nd
     return rng.gamma(shape, s.cv * s.cv / s.mu, size=count)
 
 
+def _routed_jobs(p: tuple[float, ...], n_jobs: int, rng: np.random.Generator):
+    """Yield each server's job indices, ascending: where ``rng.choice(len(p), n_jobs,
+    p=p / sum(p))`` would send each job.
+
+    ``choice`` looks each of ``rng.random(n_jobs)`` up in the normalized CDF with
+    ``searchsorted(side="right")``, so server k gets the draws u with
+    ``cdf[k-1] <= u < cdf[k]``; one compare per server, kept for the next, finds them.
+    """
+    import numpy as np
+
+    q = np.asarray(p)
+    cdf = (q / q.sum()).cumsum()
+    if np.isnan(cdf[-1]):
+        raise ValueError("Probabilities contain NaN")  # choice's check and message
+    cdf /= cdf[-1]
+    u = rng.random(n_jobs)
+    below_prev = np.zeros(n_jobs, dtype=bool)
+    for c in cdf:
+        below = u < c
+        yield np.flatnonzero(below ^ below_prev)
+        below_prev = below
+
+
 def _one_replication(sc: Scenario, cfg: SimulationConfig, rep: int):
     import numpy as np
 
     n = len(sc.servers)
     n_jobs = cfg.horizon_jobs
     arrivals = np.cumsum(_rng(cfg.seed, rep, _ARRIVALS).exponential(1.0 / cfg.lam, size=n_jobs))
-    p = np.asarray(cfg.p)
-    choice = _rng(cfg.seed, rep, _ROUTING).choice(n, size=n_jobs, p=p / p.sum())
+    routed = _routed_jobs(cfg.p, n_jobs, _rng(cfg.seed, rep, _ROUTING))
 
     cutoff = int(cfg.warmup * n_jobs)
     window = arrivals[-1] - (arrivals[cutoff] if cutoff > 0 else 0.0)
@@ -158,8 +185,7 @@ def _one_replication(sc: Scenario, cfg: SimulationConfig, rep: int):
     sums = np.zeros((4, n))  # per server: latency, sojourn and busy time, jobs kept
     raw: list[tuple[int, int, float, float]] = []
 
-    for k, s in enumerate(sc.servers):
-        idx = np.nonzero(choice == k)[0]
+    for k, (s, idx) in enumerate(zip(sc.servers, routed)):
         if idx.size == 0:
             continue
         t_in = arrivals[idx] + 0.5 * s.d
@@ -170,10 +196,11 @@ def _one_replication(sc: Scenario, cfg: SimulationConfig, rep: int):
         sojourn = depart - t_in
         latency = sojourn + s.d
 
-        keep = idx >= cutoff
-        sums[:, k] = latency[keep].sum(), sojourn[keep].sum(), service[keep].sum(), keep.sum()
+        kept = slice(int(np.searchsorted(idx, cutoff)), None)  # the jobs from the cutoff on
+        sums[:, k] = (latency[kept].sum(), sojourn[kept].sum(), service[kept].sum(),
+                      idx[kept].size)
         if cfg.raw_samples_path is not None:
-            for j, d_t, l_t in zip(idx[keep], depart[keep] + 0.5 * s.d, latency[keep]):
+            for j, d_t, l_t in zip(idx[kept], depart[kept] + 0.5 * s.d, latency[kept]):
                 raw.append((int(j), k, float(d_t), float(l_t)))
 
     if cfg.raw_samples_path is not None:

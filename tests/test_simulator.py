@@ -2,11 +2,14 @@
 
 import csv
 import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskalloc import (
     AllocationKind,
@@ -24,8 +27,33 @@ from taskalloc import (
     validate,
 )
 
-from taskalloc.simulator import _T975, _mean_ci, _rng, _service_times
+from taskalloc.simulator import _ROUTING, _T975, _mean_ci, _rng, _routed_jobs, _service_times
 from test_latency import as_generic
+
+
+# Built here, not bundled: five servers of every service class (mu sums to 20),
+# and one server.
+BUILT = {
+    "five": Scenario((ServerSpec.mm1(0.01, 5.0), ServerSpec.md1(0.02, 4.0),
+                      ServerSpec.mg1(0.015, 3.0, 2.0), ServerSpec.mm1(0.03, 4.0),
+                      ServerSpec.mg1(0.005, 4.0, 0.5))),
+    "one": Scenario((ServerSpec.mg1(0.01, 5.0, 1.5),)),
+}
+
+SPLITS = {
+    "zero": (0.5, 0.0, 0.5),
+    "over": (0.25, 0.5, 0.25),
+    "first_idle": (0.0, 0.3, 0.2, 0.25, 0.25),
+    "last_idle": (0.3, 0.25, 0.2, 0.25, 0.0),
+    "mid_idle": (0.4, 0.0, 0.0, 0.3, 0.3),
+}
+
+
+def _scenario(name):
+    if name in BUILT:
+        return BUILT[name]
+    return load_scenario_file(Path(__file__).resolve().parent.parent
+                              / "scenarios" / f"{name}.json").scenario
 
 
 def test_identical_seed_identical_report(toy):
@@ -178,6 +206,40 @@ def test_exponential_service_is_gamma_of_shape_one():
             assert np.array_equal(got, expected)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.lists(st.one_of(st.just(0.0), st.floats(5e-324, 1e-9), st.floats(0.0, 1.0)),
+               min_size=1, max_size=9).filter(lambda p: sum(p) > 0.0),
+    seed=st.integers(0, 2**32 - 1),
+    n_jobs=st.integers(1, 5_000),
+)
+def test_routing_takes_the_jobs_choice_draws(p, seed, n_jobs):
+    """Each server gets exactly the jobs that Generator.choice sends it from the
+    same substream, for 1-9 servers and splits with zero and tiny entries."""
+    q = np.asarray(p) / np.asarray(p).sum()
+    choice = _rng(seed, 0, _ROUTING).choice(len(p), size=n_jobs, p=q)
+    routed = list(_routed_jobs(tuple(p), n_jobs, _rng(seed, 0, _ROUTING)))
+    assert len(routed) == len(p)
+    for k, idx in enumerate(routed):
+        assert np.array_equal(idx, np.flatnonzero(choice == k))
+
+
+def test_routing_draws_on_a_cdf_step_go_right():
+    """A draw equal to a CDF step goes to the next server with mass, as
+    searchsorted(side="right") in Generator.choice sends it."""
+    class Draws:
+        def random(self, n):
+            return u[:n]
+
+    u = np.array([0.0, np.nextafter(0.25, 0.0), 0.25, 0.5, np.nextafter(0.5, 1.0), 0.75])
+    p = (0.25, 0.0, 0.25, 0.5)  # the CDF is 0.25, 0.25, 0.5, 1
+    server = np.searchsorted(np.cumsum(p), u, side="right")
+    assert server.tolist() == [0, 0, 2, 3, 3, 3]
+    routed = list(_routed_jobs(p, u.size, Draws()))
+    assert [idx.tolist() for idx in routed] == [np.flatnonzero(server == k).tolist()
+                                                for k in range(len(p))]
+
+
 def test_generic_model_unsupported(toy):
     sc = Scenario((as_generic(toy.servers[0]), toy.servers[1]))
     cfg = SimulationConfig(lam=1.0, p=(0.5, 0.5), horizon_jobs=1_000)
@@ -251,6 +313,36 @@ def test_raw_samples_csv(tmp_path, toy):
     assert (tmp_path / "raw.rep1.csv").exists()
 
 
+# sha256 of the per-job sample files of BUILT["five"] with its two middle servers
+# idle ("mid_idle"), at rho 0.5, 2000 jobs, warmup 0.2, seed 8; recorded with
+# Generator.choice routing.
+RAW_SHA256 = {
+    1: {"raw.csv": "8a1a56021755bb1c8293673b44939ce562ccd679d666d65f1dea9e79fd20a2ef"},
+    2: {"raw.rep0.csv": "8a1a56021755bb1c8293673b44939ce562ccd679d666d65f1dea9e79fd20a2ef",
+        "raw.rep1.csv": "4c2d659887a164a9560ef4242131b60457b4a9acaefb5a6a301cc5932154ffab"},
+}
+
+
+@pytest.mark.parametrize("replications", sorted(RAW_SHA256))
+def test_raw_samples_bytes(tmp_path, replications):
+    cfg = SimulationConfig(lam=10.0, p=SPLITS["mid_idle"], horizon_jobs=2000, warmup=0.2,
+                           seed=8, replications=replications,
+                           raw_samples_path=str(tmp_path / "raw.csv"))
+    simulate(BUILT["five"], cfg)
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert digests == RAW_SHA256[replications]
+
+
+def test_nan_split_raises_numpys_error(toy):
+    """A NaN in the split gets past SimulationConfig (abs(nan - 1) > tol is False);
+    routing raises Generator.choice's error for it."""
+    cfg = SimulationConfig(lam=1.0, p=(math.nan, 0.5), horizon_jobs=1_000)
+    with pytest.raises(ValueError) as error:
+        simulate(toy, cfg)
+    assert type(error.value) is ValueError
+    assert str(error.value) == "Probabilities contain NaN"
+
+
 # float.hex() of latency_ci (aggregate, then per server) on scenario1 at
 # rho 0.5, 4000 jobs, seed 3, for 3, 5, 10, 31 and 32 replications (t with
 # 2, 4, 9, 30 and 31 degrees of freedom: 30 is the last entry of the stored
@@ -273,8 +365,7 @@ CI_GOLDEN = {
 @pytest.mark.parametrize("replications", sorted(CI_GOLDEN))
 def test_latency_ci_bits(replications):
     """The t-quantile half-widths keep their bits beyond one degree of freedom."""
-    sc = load_scenario_file(Path(__file__).resolve().parent.parent
-                            / "scenarios" / "scenario1.json").scenario
+    sc = _scenario("scenario1")
     lam = 0.5 * sc.total_mu
     p = tuple(float(x) for x in solve_optimal(sc, lam).p)
     cfg = SimulationConfig(lam=lam, p=p, horizon_jobs=4000, seed=3, replications=replications)
@@ -285,11 +376,16 @@ def test_latency_ci_bits(replications):
 
 
 # Every field of simulate's report, float.hex() for floats, in field order
-# (per_server, then the aggregate), on scenario1 and scenario3_cv10 at rho 0.5,
-# 4000 jobs, seed 5. Keys are (scenario, split, replications, warmup): "opt" is
-# the optimal split, "zero" (0.5, 0, 0.5) leaves the middle server without jobs,
-# "over" (0.25, 0.5, 0.25) overloads it. One replication has no interval and 32
-# take the scipy quantile.
+# (per_server, then the aggregate), at rho 0.5 and seed 5. Keys are (scenario,
+# split, replications, warmup), then the horizon in jobs where it is not 4000.
+# The scenarios are scenario1, scenario3_cv10 and the two of BUILT. "opt" is the
+# optimal split; the others are in SPLITS: "zero" (0.5, 0, 0.5) leaves the middle
+# server without jobs, "over" (0.25, 0.5, 0.25) overloads it, and on five servers
+# "first_idle", "last_idle" and "mid_idle" leave the first, the last and two
+# adjacent middle servers without jobs. With 3 jobs at warmup 0.5 the last server
+# gets only job 0, which the warmup drops. One replication has no interval and 32
+# take the scipy quantile. The five- and one-server entries were recorded with
+# Generator.choice routing.
 REPORT_GOLDEN = {
     ("scenario1", "opt", 1, 0.0): (
         (
@@ -387,10 +483,95 @@ REPORT_GOLDEN = {
         "0x1.8d3bba0139350p+2", "0x1.872e27b91449dp+2", "0x1.a6e0ea43d7de7p-2",
         12000, "0x1.c76c4c96261d9p+1", False, 3,
     ),
+    ("five", "first_idle", 3, 0.2): (
+        (
+            ("nan", "nan", "0x0.0p+0", 0,
+             "0x0.0p+0", "nan"),
+            ("0x1.4dab2b847b00dp-1", "0x1.436dbae0a3f69p-1", "0x1.9012211bbc691p-1", 2954,
+             "0x1.9012211bbc691p+1", "0x1.39b54adc1e4e4p-5"),
+            ("0x1.6151e29ae267cp+0", "0x1.5d7ad85d71c3dp+0", "0x1.382f6d9371483p-1", 1892,
+             "0x1.0008bff31c9cbp+1", "0x1.000c9cfda8e7fp-2"),
+            ("0x1.6d812bc5008e5p-1", "0x1.5e2502cf3dfefp-1", "0x1.41ca437f5175fp-1", 2386,
+             "0x1.433794d568ef2p+1", "0x1.d58dad21dd2d3p-3"),
+            ("0x1.1102d5860ad29p-1", "0x1.0e73795d15101p-1", "0x1.406e107b96875p-1", 2368,
+             "0x1.40a41c2e69168p+1", "0x1.7ab2cece9e5c9p-3"),
+        ),
+        "0x1.9069dd680d3edp-1", "0x1.874cc884506b8p-1", "0x1.0ee52d5537895p-1",
+        9600, "0x1.44247e0824f58p-5", False, 3,
+    ),
+    ("five", "last_idle", 3, 0.0): (
+        (
+            ("0x1.d4e28210b8efdp-2", "0x1.caa5116ce1e5bp-2", "0x1.364e83710925dp-1", 3656,
+             "0x1.8db3d95d5076bp+1", "0x1.633298798c8f3p-4"),
+            ("0x1.00f210e4c7b90p-1", "0x1.ed694081e15dbp-2", "0x1.484e574d6a358p-1", 3019,
+             "0x1.484e574d6a358p+1", "0x1.062c7d4a829d8p-5"),
+            ("0x1.cb0bea078f2b9p+0", "0x1.c734dfca1e87bp+0", "0x1.46eb19110c01bp-1", 2350,
+             "0x1.ff61bdb9a4ad3p+0", "0x1.e618c5ba26ef8p-2"),
+            ("0x1.6c936de951920p-1", "0x1.5d3744f38f02cp-1", "0x1.4378d93f7b8d3p-1", 2975,
+             "0x1.4394dae0a4de9p+1", "0x1.132e63e96da2cp-3"),
+            ("nan", "nan", "0x0.0p+0", 0,
+             "0x0.0p+0", "nan"),
+        ),
+        "0x1.96633ebb95b27p-1", "0x1.8cf0879d3f3e7p-1", "0x1.01ccf5cfcbc87p-1",
+        12000, "0x1.f01bb85e7c386p-5", False, 3,
+    ),
+    ("five", "mid_idle", 3, 0.5): (
+        (
+            ("0x1.0a89a152afa8ep+0", "0x1.07fa4529b9e65p+0", "0x1.a51631aea21edp-1", 2423,
+             "0x1.07352cd658b12p+2", "0x1.43dab1e8aa550p-1"),
+            ("nan", "nan", "0x0.0p+0", 0,
+             "0x0.0p+0", "nan"),
+            ("nan", "nan", "0x0.0p+0", 0,
+             "0x0.0p+0", "nan"),
+            ("0x1.0a26e3738a09dp+0", "0x1.0278cef8a8c22p+0", "0x1.885e9bd06e875p-1", 1777,
+             "0x1.81f20c70ca6e8p+1", "0x1.62a09e5cebf14p-2"),
+            ("0x1.6e8f38105b605p-1", "0x1.6bffdbe7659dcp-1", "0x1.8c328e316cdc4p-1", 1800,
+             "0x1.8714f3a689b0dp+1", "0x1.d7a9b5691b908p-3"),
+        ),
+        "0x1.e2f534f84b8abp-1", "0x1.db92b6365cf6bp-1", "0x1.e3dc8b1365675p-2",
+        6000, "0x1.b010344a0b529p-3", False, 3,
+    ),
+    ("five", "mid_idle", 1, 0.5, 1): (
+        (
+            ("nan", "nan", "0x0.0p+0", 0,
+             "0x0.0p+0", "nan"),
+            ("nan", "nan", "0x0.0p+0", 0,
+             "0x0.0p+0", "nan"),
+            ("nan", "nan", "0x0.0p+0", 0,
+             "0x0.0p+0", "nan"),
+            ("nan", "nan", "0x0.0p+0", 0,
+             "0x0.0p+0", "nan"),
+            ("0x1.48947fcb7c7d8p-3", "0x1.3e570f27a5734p-3", "0x1.909856283cfa0p-1", 1,
+             "0x1.4225a949bfa4ap+2", "nan"),
+        ),
+        "0x1.48947fcb7c7d8p-3", "0x1.3e570f27a5734p-3", "0x1.4079de86972e6p-3",
+        1, "nan", False, 1,
+    ),
+    ("five", "mid_idle", 3, 0.5, 3): (
+        (
+            ("0x1.453c8fd09458cp-3", "0x1.30c1ae88e6444p-3", "0x1.460a6106ef81bp-1", 3,
+             "0x1.4921ab29aa809p+2", "0x1.e31a1841463b8p-3"),
+            ("nan", "nan", "0x0.0p+0", 0,
+             "0x0.0p+0", "nan"),
+            ("nan", "nan", "0x0.0p+0", 0,
+             "0x0.0p+0", "nan"),
+            ("0x1.2086cd6b3dd57p-3", "0x1.c62c532867300p-4", "0x1.3a9ed81784835p-1", 3,
+             "0x1.4921ab29aa809p+2", "0x1.bf02b30fba9c8p-4"),
+            ("nan", "nan", "0x0.0p+0", 0,
+             "0x0.0p+0", "nan"),
+        ),
+        "0x1.32e1ae9de9171p-3", "0x1.09ebec0e8cee1p-3", "0x1.0043b07294cecp-2",
+        6, "0x1.1580407ff42d1p-4", False, 3,
+    ),
+    ("one", "opt", 3, 0.2): (
+        (
+            ("0x1.1497a46992f20p-1", "0x1.0f78ec17a76cfp-1", "0x1.032dc2ed07dddp-1", 9600,
+             "0x1.44fda484aac2dp+1", "0x1.403300f434528p-4"),
+        ),
+        "0x1.1497a46992f20p-1", "0x1.0f78ec17a76cfp-1", "0x1.032dc2ed07dddp-1",
+        9600, "0x1.403300f434528p-4", False, 3,
+    ),
 }
-
-
-SPLITS = {"zero": (0.5, 0.0, 0.5), "over": (0.25, 0.5, 0.25)}
 
 
 def _report_bits(obj):
@@ -408,13 +589,12 @@ def _report_bits(obj):
 @pytest.mark.parametrize("case", sorted(REPORT_GOLDEN))
 def test_report_bits(case):
     """Every float of the report and of each ServerStats keeps its bits."""
-    name, split, replications, warmup = case
-    sc = load_scenario_file(Path(__file__).resolve().parent.parent
-                            / "scenarios" / f"{name}.json").scenario
+    name, split, replications, warmup, *jobs = case
+    sc = _scenario(name)
     lam = 0.5 * sc.total_mu
     p = tuple(float(x) for x in solve_optimal(sc, lam).p) if split == "opt" else SPLITS[split]
-    cfg = SimulationConfig(lam=lam, p=p, horizon_jobs=4000, warmup=warmup, seed=5,
-                           replications=replications)
+    cfg = SimulationConfig(lam=lam, p=p, horizon_jobs=jobs[0] if jobs else 4000, warmup=warmup,
+                           seed=5, replications=replications)
     assert _report_bits(simulate(sc, cfg)) == REPORT_GOLDEN[case]
 
 
