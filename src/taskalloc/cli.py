@@ -24,7 +24,7 @@ from dataclasses import asdict, replace
 from functools import partial
 
 from .delay_modes import DelayMode, poa_under_mode, solve_under_mode, transformed_scenarios
-from .errors import InfeasibleLoadError, ScenarioParseError, TaskAllocError
+from .errors import DomainError, InfeasibleLoadError, ScenarioParseError, TaskAllocError
 from .latency import latency, zero_load_latency
 from .poa import SweepSpec, default_grid, poa_points, worst_case_poa
 from .scenario_io import ScenarioDocument, load_scenario_file
@@ -37,19 +37,14 @@ def _fmt(x: float) -> str:
 
 
 def _grid_spec(text: str) -> SweepSpec:
-    """Parse LO:HI:COUNT (rho range, log-spaced in 1 - rho)."""
-    parts = text.split(":")
+    """Parse LO:HI:COUNT (rho range, log-spaced in 1 - rho); ``SweepSpec`` checks the range."""
     try:
-        if len(parts) != 3:
-            raise ValueError
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if not (0.0 < lo < hi < 1.0) or count < 2:
-            raise ValueError
-    except ValueError:
+        lo, hi, count = text.split(":")
+        return SweepSpec(count=int(count), rho_min=float(lo), rho_max=float(hi))
+    except (ValueError, DomainError):
         raise argparse.ArgumentTypeError(
             f"expected RHO_LO:RHO_HI:COUNT with 0 < lo < hi < 1, got '{text}'"
         ) from None
-    return SweepSpec(count=count, rho_min=lo, rho_max=hi)
 
 
 def _finite(text: str, sign: str = ">") -> float:

@@ -204,7 +204,8 @@ def invert_marginal(
 # floating-point operations in the same order, so the scalar solver and the
 # lockstep one in solver.py agree bit for bit.  Callers check the domain:
 # rates in [0, mu), inversion targets above the zero-load latency.
-# solver._bound_inverse writes the two inverses out inline: change both together.
+# solver._solve calls the two inverses here once per evaluation, guarding
+# targets at or below the zero-load latency itself.
 
 def closed_latency(s: ServerSpec, x):
     if s.model is _MM1:

@@ -23,12 +23,13 @@ construction: the activation order, the total service rate, the load cap
 and whether a server has a user-supplied curve.  They are not part of ==,
 hash or repr, and ``dataclasses.replace`` derives them afresh.
 
-A single solve binds each active closed-form server's inverse curve once
-(``_bound_inverse``) and evaluates it inline in the multiplier bisection,
-the Newton polish and the final rates, bit for bit as ``_invert_or_zero``.
-Its sums over servers are plain loops in activation order from 0.0 (the
-additions of the builtin ``sum`` on Python 3.11, and of the lockstep
-solve), and the split and mean latency are built from Python floats.
+A single solve calls ``latency.closed_invert_*`` directly for each active
+closed-form server in the multiplier bisection, the Newton polish and the
+final rates, 0.0 at or below its zero-load latency, bit for bit as
+``_invert_or_zero``, which a generic server goes through.  Its sums over
+servers are plain loops in activation order from 0.0 (the additions of
+the builtin ``sum`` on Python 3.11, and of the lockstep solve), and the
+split and mean latency are built from Python floats.
 The total service rate is a plain loop in server order for the same
 reason: from Python 3.12 on, ``sum`` compensates float additions, and
 the bits would depend on the interpreter version.
@@ -42,7 +43,6 @@ becomes a float64 array when it is first read.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -207,33 +207,6 @@ def _invert_or_zero(s: ServerSpec, kind: AllocationKind, target: float, cfg: Sol
         return s.mu * (1.0 - cfg.eps_sat)
 
 
-def _bound_inverse(s: ServerSpec, kind: AllocationKind, cfg: SolverConfig):
-    """``t -> _invert_or_zero(s, kind, t, cfg)``, bit for bit, for one solve.
-
-    A closed-form server's constants are bound once and its inverse from
-    ``latency.closed_invert_*`` is written out inline, which saves the
-    lookups and two calls per evaluation that the multiplier bisection
-    makes about 40 times per active server.
-    """
-    if s.model is QueueModel.GENERIC:
-        return lambda t: _invert_or_zero(s, kind, t, cfg)
-    d, mu, z0, a, sqrt = s.d, s.mu, s.z0, s.a, math.sqrt
-    nep = kind is AllocationKind.NEP
-    # "t <= z0" is False for a NaN target, which then runs the formula, as in _invert_or_zero
-    if s.model is QueueModel.MM1:
-        if nep:
-            return lambda t: 0.0 if t <= z0 else mu - 1.0 / (t - d)
-        return lambda t: 0.0 if t <= z0 else mu - sqrt(mu / (t - d))
-
-    def inv(t):
-        if t <= z0:
-            return 0.0
-        w = mu * (t - d) - 1.0
-        return mu * w / (a + w) if nep else mu * (1.0 - 1.0 / sqrt(1.0 + w / a))
-
-    return inv
-
-
 def activation_thresholds(sc: Scenario, kind: AllocationKind) -> ThresholdTable:
     """Per-server activation loads in activation (sorted) order.
 
@@ -293,12 +266,19 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
         mean = latency(s, x)
     else:
         active = [sc.servers[i] for i in order[:j]]
-        inverses = [_bound_inverse(s, kind, cfg) for s in active]
+        closed_inv = closed_invert_marginal if kind is AllocationKind.OPTIMAL else closed_invert_latency
+
+        def generic_inv(s: ServerSpec, t: float) -> float:
+            return _invert_or_zero(s, kind, t, cfg)
+
+        # each loop below evaluates "0.0 if t <= z0 else inv(s, t)", bit for bit _invert_or_zero;
+        # "t <= z0" is False for a NaN target, which then runs the formula, as there
+        curves = [(s, s.z0, generic_inv if s.model is QueueModel.GENERIC else closed_inv) for s in active]
 
         def remaining(t: float) -> float:
             total = 0.0
-            for inv in inverses:
-                total += inv(t)
+            for s, z0, inv in curves:
+                total += 0.0 if t <= z0 else inv(s, t)
             return total - lam
 
         lo = active[-1].z0 + cfg.resolution
@@ -325,8 +305,8 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
             # Newton polish to push the normalization residual to rounding level
             for _ in range(3):
                 total = slope = 0.0
-                for s, inv in zip(active, inverses):
-                    x = inv(mult)
+                for s, z0, inv in curves:
+                    x = 0.0 if mult <= z0 else inv(s, mult)
                     total += x
                     if x > 0.0:
                         slope += _inverse_slope(s, kind, x)
@@ -336,7 +316,7 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
                 if not (lo <= nxt <= hi):
                     break
                 mult = nxt
-        rates = [inv(mult) for inv in inverses]
+        rates = [0.0 if mult <= z0 else inv(s, mult) for s, z0, inv in curves]
         total = 0.0
         for r in rates:
             total += r

@@ -213,9 +213,12 @@ def test_exit_codes(toy_file, tmp_path, capsys):
         assert main(["solve", str(nonfinite), "--load", "5"]) == 2
         assert "expected a finite number" in capsys.readouterr().err
 
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", toy_file, "--grid", "nonsense"])
-    assert exc.value.code == 2
+    for grid in ("nonsense", "0.9:0.1:5", "0.1:0.9:1", "nan:0.5:3", "0.1:0.9:2.5", "0.1:0.9"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", toy_file, "--grid", grid])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --grid: expected RHO_LO:RHO_HI:COUNT with 0 < lo < hi < 1, got '{grid}'\n")
 
 
 @pytest.mark.parametrize("command", [

@@ -27,7 +27,8 @@ from taskalloc import (
     sort_servers,
     zero_load_latency,
 )
-from taskalloc.solver import _bound_inverse, _invert_or_zero, _solve
+from taskalloc.latency import closed_invert_latency, closed_invert_marginal
+from taskalloc.solver import _invert_or_zero, _solve
 
 from conftest import random_loads, random_scenario
 from test_latency import as_generic
@@ -429,7 +430,10 @@ def closed_server_and_target(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(closed_server_and_target(), st.sampled_from(list(AllocationKind)))
-def test_bound_inverse_is_invert_or_zero_bit_for_bit(case, kind):
+def test_guarded_closed_inverse_is_invert_or_zero_bit_for_bit(case, kind):
+    """What ``_solve``'s loops evaluate for a closed-form server, against the threshold table's path."""
     s, target = case
     cfg = SolverConfig()
-    assert _bound_inverse(s, kind, cfg)(target).hex() == _invert_or_zero(s, kind, target, cfg).hex()
+    inv = closed_invert_marginal if kind is AllocationKind.OPTIMAL else closed_invert_latency
+    direct = 0.0 if target <= s.z0 else inv(s, target)
+    assert direct.hex() == _invert_or_zero(s, kind, target, cfg).hex()
