@@ -15,11 +15,13 @@ scenarios.  The curve need not be convex on a segment; see
 tests/test_poa.py::test_convexity_can_fail_between_activations for a
 pinned counterexample.
 
-A sweep over a grid of loads solves a closed-form scenario in lockstep
-(``solver.solve_lockstep``): every load of the grid takes the scalar
-solver's floating-point steps at once, so each point is bit-identical to
-``poa_at``.  Generic scenarios, and the delay-mode sweeps of
-``delay_modes.poa_under_mode``, are solved one load at a time.
+A sweep over a grid of loads solves a closed-form scenario in one
+lockstep pass (``solver.solve_lockstep``): the optimum and the
+equilibrium at every load of the grid are the slots of one servers ×
+slots array, and each slot takes the scalar solver's floating-point
+steps, so each point is bit-identical to ``poa_at``.  Generic scenarios,
+and the delay-mode sweeps of ``delay_modes.poa_under_mode``, are solved
+one load at a time.
 
 The full-load limit sums over servers in a plain loop from 0.0, not with
 the builtin ``sum``, which compensates float additions from Python 3.12
@@ -150,8 +152,8 @@ def poa_sweep(sc: Scenario, grid) -> PoaCurve:
 def poa_points(sc: Scenario, grid) -> tuple[PoaPoint, ...]:
     """``poa_at`` at each load of ``grid``, in grid order, bit for bit.
 
-    A closed-form scenario is solved in lockstep, both kinds over the whole
-    grid at once.  The loads the lockstep solve cannot vouch for, and every
+    A closed-form scenario is solved in one lockstep pass, both kinds over
+    the whole grid at once.  The loads the lockstep solve cannot vouch for, and every
     load of a generic scenario, go through ``poa_at``, so an error is the
     one ``poa_at`` raises at the first load that fails.
     """
@@ -161,8 +163,7 @@ def poa_points(sc: Scenario, grid) -> tuple[PoaPoint, ...]:
     import numpy as np
 
     loads = np.array(lams)
-    _, u_opt, j_opt, opt_ok = solve_lockstep(sc, loads, AllocationKind.OPTIMAL)
-    alpha, u_nep, j_nep, nep_ok = solve_lockstep(sc, loads, AllocationKind.NEP)
+    (_, u_opt, j_opt, opt_ok), (alpha, u_nep, j_nep, nep_ok) = solve_lockstep(sc, loads)
     total_mu = sc.total_mu
     columns = zip(lams, (opt_ok & nep_ok).tolist(), alpha.tolist(), u_nep.tolist(),
                   u_opt.tolist(), j_opt.tolist(), j_nep.tolist())

@@ -28,11 +28,20 @@ closed-form server in the multiplier bisection, the Newton polish and the
 final rates, 0.0 at or below its zero-load latency, bit for bit as
 ``_invert_or_zero``, which a generic server goes through.  Its sums over
 servers are plain loops in activation order from 0.0 (the additions of
-the builtin ``sum`` on Python 3.11, and of the lockstep solve), and the
-split and mean latency are built from Python floats.
+the builtin ``sum`` on Python 3.11), and the split and mean latency are
+built from Python floats.
 The total service rate is a plain loop in server order for the same
 reason: from Python 3.12 on, ``sum`` compensates float additions, and
 the bits would depend on the interpreter version.
+
+A sweep of a closed-form scenario solves both kinds at every load of its
+grid in one lockstep pass (``solve_lockstep``).  Each (kind, load) pair
+is a slot, and each step evaluates every server at every slot as one
+servers × slots array: servers are rows, grouped by formula (M/M/1 rows,
+then M/D/1 and M/G/1 rows), with mu, d and a as columns fed to
+``latency.closed_*``.  Its sums over servers add the rows in activation
+order from 0.0, as the single solve's loops add servers, so every slot
+is bit-identical to ``_solve``.
 The threshold table still inverts server by server through
 ``_invert_or_zero``.
 
@@ -45,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from types import SimpleNamespace
 
 from .errors import ConvergenceError, DomainError, InfeasibleLoadError, InversionError, SaturationError
 from .latency import (
@@ -351,131 +361,178 @@ def _bisect_multiplier(residual, lo: float, hi: float, resolution: float) -> flo
     return hi if residual(hi) < 0.0 else _bisect(residual, 0.0, lo, hi, resolution)
 
 
-def solve_lockstep(sc: Scenario, lams: np.ndarray, kind: AllocationKind):
-    """``_solve`` on every load of ``lams`` at once, for a closed-form scenario.
+def solve_lockstep(sc: Scenario, lams: np.ndarray):
+    """``_solve`` of both kinds on every load of ``lams`` at once, for a closed-form scenario.
 
-    Each load has one array slot, and every slot goes through the scalar
-    path's floating-point operations and branches in the same order.  Sums
-    over servers run in activation order from 0 and add an exact 0.0 for a
-    server that is idle or inactive at that load, so a slot's multiplier,
-    mean latency and active count are bit-identical to ``_solve``'s.
+    Each (kind, load) pair has one slot of a servers × slots array, the
+    optimum's loads first, and every slot goes through the scalar path's
+    floating-point operations and branches in the same order.  Servers are
+    rows, grouped by formula (M/M/1 rows, M/D/1 and M/G/1 rows) with mu, d
+    and a as columns of ``latency.closed_*``.  Sums over servers add the
+    rows in activation order and an exact 0.0 for a server that is idle or
+    inactive in that slot, so a slot's multiplier, mean latency and active
+    count are bit-identical to ``_solve``'s.
 
-    Returns the arrays (multiplier, mean_latency, active_count, ok).  ``ok``
-    is False where ``_solve`` raises or might raise: loads outside
-    (0, load_cap], a failed bracket, a rate outside a server's stable
-    region, a non-finite value or a split near the simplex tolerance.
-    Solve those loads per point.
+    Returns one tuple of arrays (multiplier, mean_latency, active_count, ok)
+    per kind, the optimum's first.  ``ok`` is False where ``_solve`` raises
+    or might raise: loads outside (0, load_cap], a failed bracket, a rate
+    outside a server's stable region, a non-finite value or a split near
+    the simplex tolerance.  Solve those loads per point.
     """
     import numpy as np
 
-    table = activation_thresholds(sc, kind)
-    servers = [sc.servers[i] for i in table.order]
+    tables = [activation_thresholds(sc, kind) for kind in (AllocationKind.OPTIMAL, AllocationKind.NEP)]
+    servers = [sc.servers[i] for i in tables[0].order]
     s = servers[0]
+    m = lams.size
+    lam = np.concatenate((lams, lams))
     # strict comparison, as in _solve
-    j = np.count_nonzero(np.asarray(table.loads)[None, :] < lams[:, None], axis=1)
-    ok = (lams > 0.0) & (lams <= sc.load_cap)
-    mult = np.zeros(lams.shape)
-    mean = np.zeros(lams.shape)
+    j = np.concatenate([np.count_nonzero(np.asarray(t.loads)[None, :] < lams[:, None], axis=1)
+                        for t in tables])
+    ok = (lam > 0.0) & (lam <= sc.load_cap)
+    mult = np.zeros(2 * m)
+    mean = np.zeros(2 * m)
     with np.errstate(all="ignore"):
         one = np.flatnonzero(ok & (j == 1))
-        x = lams[one]
-        mult[one] = closed_marginal_cost(s, x) if kind is AllocationKind.OPTIMAL else closed_latency(s, x)
+        x = lam[one]
+        mult[one] = np.where(one < m, closed_marginal_cost(s, x), closed_latency(s, x))
         mean[one] = closed_latency(s, x)
         ok[one] = x < s.mu
         many = np.flatnonzero(ok & (j > 1))
-        mult[many], mean[many], bad = _lockstep_active(servers, lams[many], j[many], kind, sc.config)
+        mult[many], mean[many], bad = _lockstep_active(servers, lam[many], j[many],
+                                                       np.count_nonzero(many < m), sc.config)
         ok[many] = ~bad
-    return mult, mean, j, ok
+    return (mult[:m], mean[:m], j[:m], ok[:m]), (mult[m:], mean[m:], j[m:], ok[m:])
 
 
-def _lockstep_active(servers, lam, j, kind, cfg):
-    """The j > 1 branch of ``_solve`` on loads ``lam``: (multiplier, mean, bad)."""
+def _lockstep_active(servers, lam, j, n_opt, cfg):
+    """The j > 1 branch of ``_solve`` on slots ``lam``: (multiplier, mean, bad).
+
+    The first ``n_opt`` slots solve for the optimum, the rest for the equilibrium.
+    """
     import numpy as np
 
     n = len(servers)
-    z0 = np.array([s.z0 for s in servers])
-    active = [k < j for k in range(n)]
-    every = np.arange(lam.size)
+    z0 = np.array([s.z0 for s in servers])[:, None]
+    columns = _rows(servers, QueueModel.MG1)  # mu and a of every server, for the slopes
+    groups = []
+    for mm1 in (True, False):
+        rows = [k for k, s in enumerate(servers) if (s.model is QueueModel.MM1) == mm1]
+        if rows:
+            group = _rows([servers[k] for k in rows], QueueModel.MM1 if mm1 else QueueModel.MG1)
+            groups.append((slice(None) if len(rows) == n else np.array(rows), group))
+    active = np.arange(n)[:, None] < j
     bad = np.zeros(lam.size, dtype=bool)
+    # the state of a set of slots: (slot indices, z0 where a server is active and +inf where
+    # not, loads, number of optimum slots); "t > zm" is "active and t > z0"
+    every = (np.arange(lam.size), np.where(active, z0, np.inf), lam, n_opt)
 
-    def rates(t, sel):
-        """_invert_or_zero of each server at targets ``t``, 0.0 where it is inactive."""
-        out = []
-        for k, s in enumerate(servers):
-            if kind is AllocationKind.OPTIMAL:
-                x = closed_invert_marginal(s, t, np.sqrt)
-            else:
-                x = closed_invert_latency(s, t)
-            out.append(np.where(active[k][sel] & (t > z0[k]), x, 0.0))
-        return out
+    def keep(slots, go):
+        """The slots where ``go``."""
+        sel, zm, lm, no = slots
+        return sel[go], zm[:, go], lm[go], np.count_nonzero(go[:no])
 
-    def remaining(t, sel):
-        r = sum(rates(t, sel)) - lam[sel]
-        bad[sel] |= ~np.isfinite(r)
+    def rates(t, slots):
+        """Each server's _invert_or_zero at the slots' targets ``t``, 0.0 where it is inactive."""
+        _, zm, _, no = slots
+        x = np.empty(zm.shape)
+        for rows, group in groups:
+            if no:
+                x[rows, :no] = closed_invert_marginal(group, t[:no], np.sqrt)
+            if no < t.size:
+                x[rows, no:] = closed_invert_latency(group, t[no:])
+        return np.where(t > zm, x, 0.0)
+
+    def remaining(t, slots):
+        """The bisection residual at the slots' targets ``t``; flags the non-finite ones."""
+        r = _row_sum(rates(t, slots)) - slots[2]
+        fin = np.isfinite(r)
+        if not fin.all():
+            bad[slots[0][~fin]] = True
         return r
 
-    last = z0[j - 1]
+    last = z0[j - 1, 0]
     lo = last + cfg.resolution
-    hi = z0[np.minimum(j, n - 1)]
-    grow_sel = np.flatnonzero(j == n)
-    hi[grow_sel] = 2.0 * z0[n - 1]
+    hi = np.where(j == n, 2.0 * z0[n - 1, 0], z0[np.minimum(j, n - 1), 0])
+    slots = keep(every, j == n)
     grow = 0
-    while grow_sel.size:
-        grow_sel = grow_sel[remaining(hi[grow_sel], grow_sel) < 0.0]
-        hi[grow_sel] *= 2.0
+    while slots[0].size:
+        slots = keep(slots, remaining(hi[slots[0]], slots) < 0.0)
+        hi[slots[0]] *= 2.0
         grow += 1
         if grow > 200:
-            bad[grow_sel] = True
+            bad[slots[0]] = True
             break
     shift = remaining(lo, every) > 0.0
     lo[shift] = last[shift]
 
-    # _bisect_multiplier and its latency._bisect, each slot stopping at its own return
+    # _bisect_multiplier and its latency._bisect, each slot stopping at its own return;
+    # the slots' state is compacted on the steps where one stops
     mult = np.empty(lam.size)
     top = remaining(hi, every) < 0.0
     mult[top] = hi[top]
-    sel = np.flatnonzero(~top)
-    a, b = lo[sel], hi[sel]
-    while sel.size:
+    slots, a, b = keep(every, ~top), lo[~top], hi[~top]
+    while slots[0].size:
         mid = 0.5 * (a + b)
         stop = (mid <= a) | (mid >= b)
-        mult[sel[stop]] = mid[stop]
-        go = ~stop
-        sel, a, b, mid = sel[go], a[go], b[go], mid[go]
-        below = remaining(mid, sel) < 0.0
+        if stop.any():
+            mult[slots[0][stop]] = mid[stop]
+            go = ~stop
+            slots, a, b, mid = keep(slots, go), a[go], b[go], mid[go]
+        below = remaining(mid, slots) < 0.0
         a = np.where(below, mid, a)
         b = np.where(below, b, mid)
         stop = b - a <= cfg.resolution
-        mult[sel[stop]] = 0.5 * (a[stop] + b[stop])
-        go = ~stop
-        sel, a, b = sel[go], a[go], b[go]
+        if stop.any():
+            mult[slots[0][stop]] = 0.5 * (a[stop] + b[stop])
+            go = ~stop
+            slots, a, b = keep(slots, go), a[go], b[go]
 
     # Newton polish; a slot leaves at its own break
-    sel = every
+    slots = every
     for _ in range(3):
+        sel, _, lm, no = slots
         t = mult[sel]
-        xs = rates(t, sel)
-        slope = 0
-        for s, x in zip(servers, xs):
-            used = x > 0.0
-            if kind is AllocationKind.NEP:
-                bad[sel] |= used & ~(x < s.mu)  # latency_slope's domain check
-            slope = slope + np.where(used, _inverse_slope(s, kind, x, closed_slope), 0.0)
-        r = sum(xs) - lam[sel]
-        bad[sel] |= ~np.isfinite(r)
+        x = rates(t, slots)
+        used = x > 0.0
+        # latency_slope's domain check
+        bad[sel[no:][(used[:, no:] & ~(x[:, no:] < columns.mu)).any(axis=0)]] = True
+        slope = np.empty(x.shape)
+        slope[:, :no] = _inverse_slope(columns, AllocationKind.OPTIMAL, x[:, :no], closed_slope)
+        slope[:, no:] = _inverse_slope(columns, AllocationKind.NEP, x[:, no:], closed_slope)
+        slope = _row_sum(np.where(used, slope, 0.0))
+        r = _row_sum(x) - lm
+        bad[sel[~np.isfinite(r)]] = True
         nxt = t - r / slope
         go = (slope > 0.0) & (lo[sel] <= nxt) & (nxt <= hi[sel])
-        sel = sel[go]
-        mult[sel] = nxt[go]
+        slots = keep(slots, go)
+        mult[slots[0]] = nxt[go]
 
-    xs = rates(mult, every)
-    mean = 0
-    for k, (s, x) in enumerate(zip(servers, xs)):
-        bad |= active[k] & ~((0.0 <= x) & (x < s.mu))  # latency's domain check
-        mean = mean + np.where(active[k], x / lam * closed_latency(s, x), 0.0)
-    bad |= np.abs(sum(xs) - lam) > SIMPLEX_TOL * lam  # _solve's simplex check
+    x = rates(mult, every)
+    bad |= (active & ~((0.0 <= x) & (x < columns.mu))).any(axis=0)  # latency's domain check
+    latencies = np.empty(x.shape)
+    for rows, group in groups:
+        latencies[rows] = closed_latency(group, x[rows])
+    mean = _row_sum(np.where(active, x / lam * latencies, 0.0))
+    bad |= np.abs(_row_sum(x) - lam) > SIMPLEX_TOL * lam  # _solve's simplex check
     bad |= ~(np.isfinite(mult) & np.isfinite(mean))
     return mult, mean, bad
+
+
+def _row_sum(x):
+    """Sum of the rows of ``x`` in order from 0.0, as ``_solve``'s loops add servers."""
+    total = 0.0
+    for row in x:
+        total = total + row
+    return total
+
+
+def _rows(servers, model: QueueModel) -> SimpleNamespace:
+    """``servers`` as the rows of one closed-form formula: mu, d and a as (rows, 1) columns."""
+    import numpy as np
+
+    mu, d, a = np.array([[s.mu for s in servers], [s.d for s in servers], [s.a for s in servers]])[:, :, None]
+    return SimpleNamespace(model=model, mu=mu, d=d, a=a)
 
 
 def solve_optimal(sc: Scenario, lam: float) -> AllocationResult:

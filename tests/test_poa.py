@@ -1,6 +1,9 @@
 """Price of anarchy: pointwise, swept, worst-case, and asymptotic."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import astuple
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from taskalloc import (
     AllocationKind,
     ConvergenceError,
     InfeasibleLoadError,
+    QueueModel,
     Scenario,
     ServerSpec,
     UnsupportedModelError,
@@ -22,8 +26,10 @@ from taskalloc import (
     load_scenario_file,
     poa_at,
     poa_sweep,
+    sort_servers,
     worst_case_poa,
 )
+from taskalloc.solver import solve_lockstep
 
 from conftest import random_loads, random_scenario
 from test_latency import as_generic
@@ -250,7 +256,8 @@ def _threshold_grid(sc):
     return sorted(float(lam) for lam in loads if 0.0 < lam <= sc.load_cap)
 
 
-def test_lockstep_sweep_is_bit_identical_to_poa_at():
+def _lockstep_corpus():
+    """(case, grid number, scenario, grid): bundled, TIED and 60 random scenarios, three grids each."""
     rng = np.random.default_rng(20261018)
     scenarios = [load_scenario_file(path).scenario for path in BUNDLED] + [TIED]
     scenarios += [random_scenario(rng, sizes=tuple(range(1, 10))) for _ in range(60)]
@@ -258,8 +265,65 @@ def test_lockstep_sweep_is_bit_identical_to_poa_at():
         # the full 400-point default grid on the bundled and tied scenarios only,
         # to keep the per-point reference affordable
         count = 400 if i <= len(BUNDLED) else 60
-        for grid in (default_grid(sc, count), default_grid(sc, 37, 0.2, 0.9999), _threshold_grid(sc)):
-            _assert_lockstep_matches_poa_at(sc, grid)
+        grids = (default_grid(sc, count), default_grid(sc, 37, 0.2, 0.9999), _threshold_grid(sc))
+        for g, grid in enumerate(grids):
+            yield i, g, sc, grid
+
+
+def test_lockstep_sweep_is_bit_identical_to_poa_at():
+    for _, _, sc, grid in _lockstep_corpus():
+        _assert_lockstep_matches_poa_at(sc, grid)
+
+
+def test_lockstep_fallback_set_is_pinned():
+    # The loads that solve_lockstep leaves to poa_at on the corpus above.  A solve that flags
+    # more keeps every bit, since poa_at answers those loads, but loses the lockstep's speed.
+    # Recorded at the two-pass lockstep: only the tied servers' threshold neighbour 5e-324.
+    attempted = 0
+    flagged = set()
+    for i, g, sc, grid in _lockstep_corpus():
+        loads = np.asarray(grid, dtype=float)
+        for kind, (_, _, _, ok) in zip(AllocationKind, solve_lockstep(sc, loads)):
+            attempted += ok.size
+            flagged.update((i, g, kind.value, float(lam)) for lam in loads[~ok])
+    assert attempted == 21_770
+    tied = len(BUNDLED)
+    assert flagged == {(tied, 2, "optimal", 5e-324), (tied, 2, "nep", 5e-324)}
+
+
+# numpy's AVX-512 dispatch targets; numpy reads the variable once, at import
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _avx512_dispatch() -> bool:
+    """Whether the CPU has AVX512F and numpy knows the targets ``NO_AVX512`` names."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        return False
+    return bool(__cpu_features__.get("AVX512F")) and all(f in __cpu_features__ for f in NO_AVX512.split())
+
+
+@pytest.mark.skipif(not _avx512_dispatch(), reason="the CPU lacks AVX512F, or numpy lacks its targets")
+def test_lockstep_sweep_is_bit_identical_without_avx512():
+    # The servers x slots array relies on + - * / and sqrt rounding correctly on every dispatch
+    # target.  The default grid itself moves with the dispatch (np.logspace), so the child
+    # compares the two paths on the grid it computes, not against stored bytes.
+    code = "\n".join((
+        "import sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "from numpy._core._multiarray_umath import __cpu_features__ as features",
+        f"assert not any(features[f] for f in {NO_AVX512.split()!r}), 'AVX-512 dispatch is on'",
+        "from test_poa import BUNDLED, _assert_lockstep_matches_poa_at",
+        "from taskalloc import default_grid, load_scenario_file",
+        "for path in BUNDLED:",
+        "    sc = load_scenario_file(path).scenario",
+        "    _assert_lockstep_matches_poa_at(sc, default_grid(sc))",
+    ))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+    done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_lockstep_sweep_errors_and_generic_scenarios_go_per_point(toy):
@@ -283,7 +347,17 @@ POOL = (
     ServerSpec.mm1(0.004, 40.0),
     ServerSpec.mg1(0.0, 3.0, 0.5),
     ServerSpec.md1(0.05, 60.0),
+    ServerSpec.mm1(0.3, 0.7),  # mu < 1
+    ServerSpec.mg1(0.002, 50.0, 10.0),  # cv 10, a = 50.5
+    ServerSpec.md1(2.0, 4.0),  # a long path delay: the last to activate, through the grow loop
 )
+
+
+def test_pool_interleaves_formulas():
+    # the lockstep groups M/M/1 rows apart from M/D/1 and M/G/1 rows, and must still sum in
+    # activation order: in the pool's order, neither group is one block of rows
+    mm1 = [POOL[i].model is QueueModel.MM1 for i in sort_servers(Scenario(POOL))]
+    assert sum(a != b for a, b in zip(mm1, mm1[1:])) > 1
 
 
 @st.composite
