@@ -5,8 +5,10 @@ servers that differ in fixed path delay and queueing behavior: the
 socially optimal split, the Nash equilibrium reached by selfish task
 routing, the activation thresholds at which servers start receiving
 traffic, and the price of anarchy between the two regimes.  A
-discrete-event simulator and brute-force reference solvers back the
-analytic results, and a scenario-file CLI drives batch studies.
+discrete-event simulator backs the analytic results, and a
+scenario-file CLI drives batch studies.  The brute-force reference
+solvers that check them live in ``taskalloc.oracle``, which this
+package does not import.
 """
 
 from .errors import (
@@ -56,12 +58,6 @@ from .poa import (
     poa_sweep,
     worst_case_poa,
 )
-from .oracle import (
-    OracleConfig,
-    best_response_nep,
-    brute_force_optimal,
-    check_no_profitable_deviation,
-)
 from .simulator import (
     SimSettings,
     SimulationConfig,
@@ -101,7 +97,6 @@ __all__ = [
     "InfeasibleLoadError",
     "InversionError",
     "ModedAllocation",
-    "OracleConfig",
     "PoaCandidate",
     "PoaCurve",
     "PoaPoint",
@@ -125,9 +120,6 @@ __all__ = [
     "activation_thresholds",
     "asymptotic_poa",
     "average_latency",
-    "best_response_nep",
-    "brute_force_optimal",
-    "check_no_profitable_deviation",
     "default_grid",
     "dump_scenario",
     "invert_latency",

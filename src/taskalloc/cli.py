@@ -9,7 +9,8 @@ Human-readable output is printed with 6 significant digits; CSV output
 keeps full double precision.
 
 Exit codes: 0 success, 2 scenario/argument parse error, 3 infeasible
-load, 4 numeric failure, 5 validation mismatch.
+load, 4 numeric failure, 5 validation mismatch; from the console script
+or ``python -m``, 1 with no traceback when stdout is closed early.
 
 numpy is imported at first use: only sweep, simulate and validate load it.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 from functools import partial
@@ -328,8 +330,16 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    raise SystemExit(main())
+    """``main`` for a process; a closed stdout exits 1, as in the Python docs' note on SIGPIPE."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at exit would raise again: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry_point()

@@ -5,14 +5,17 @@ the probability simplex at a fixed step and polishes the best point
 with pairwise mass transfers; the equilibrium finder iterates damped
 best responses until all loaded servers see the same latency.  Both are
 kept independent of the closed-form solvers so the two can be compared
-in tests and by the command-line ``validate`` command.  Do not call
-them from production paths: the grid is exponential in the number of
-servers.  numpy is imported at first use, in each function that builds arrays.
+in tests and in the benchmark's checks.  Do not call them from
+production paths: the grid is exponential in the number of servers.
+Neither ``import taskalloc`` nor any command loads this module, and
+scipy loads only when the polish first runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConvergenceError, InfeasibleLoadError
 from .latency import QueueModel, latency
@@ -38,15 +41,11 @@ def _check_load(sc: Scenario, lam: float) -> None:
 
 
 def _caps(sc: Scenario) -> np.ndarray:
-    import numpy as np
-
     return np.array([s.mu * (1.0 - sc.config.eps_sat) for s in sc.servers])
 
 
 def _u_of(sc: Scenario, lam: float):
     """U(p) as a plain function of the probability vector, +inf when overloaded."""
-    import numpy as np
-
     caps = _caps(sc)
 
     def u(p: np.ndarray) -> float:
@@ -64,8 +63,6 @@ def _u_of(sc: Scenario, lam: float):
 
 def _simplex_grid(n: int, k: int) -> np.ndarray:
     """All probability vectors with components that are multiples of 1/k."""
-    import numpy as np
-
     if n == 1:
         return np.ones((1, 1))
     axes = np.meshgrid(*([np.arange(k + 1)] * (n - 1)), indexing="ij")
@@ -78,8 +75,6 @@ def _simplex_grid(n: int, k: int) -> np.ndarray:
 
 def _u_pool(sc: Scenario, lam: float, pool: np.ndarray) -> np.ndarray:
     """U(p) for a whole pool of probability vectors at once, +inf when overloaded."""
-    import numpy as np
-
     caps = _caps(sc)
     values = np.zeros(len(pool))
     bad = np.zeros(len(pool), dtype=bool)
@@ -105,7 +100,8 @@ def _refine(sc: Scenario, lam: float, p: np.ndarray, window: float) -> np.ndarra
     less than a rounding-level fraction, so the result is limited by
     the latency curves rather than by the grid step.
     """
-    # scipy costs ~1 s and ~70 MB to import and only this path needs it (see tests/test_startup.py)
+    # scipy costs ~1 s and ~70 MB to import and only this path needs it; the benchmark's
+    # checks import this module for check_no_profitable_deviation alone
     from scipy.optimize import minimize_scalar
 
     u = _u_of(sc, lam)
@@ -142,8 +138,6 @@ def _refine(sc: Scenario, lam: float, p: np.ndarray, window: float) -> np.ndarra
 
 def brute_force_optimal(sc: Scenario, lam: float, cfg: OracleConfig = OracleConfig()) -> np.ndarray:
     """Minimize U(p) by simplex enumeration plus local polishing."""
-    import numpy as np
-
     _check_load(sc, lam)
     n = len(sc.servers)
     k = max(1, round(1.0 / cfg.grid_step))
@@ -190,8 +184,6 @@ def best_response_nep(sc: Scenario, lam: float, cfg: OracleConfig = OracleConfig
     equilibrium, so the iteration cannot cycle and the fixed point does
     not depend on the start.
     """
-    import numpy as np
-
     _check_load(sc, lam)
     caps = _caps(sc)
     mu = np.array([s.mu for s in sc.servers])
@@ -232,8 +224,6 @@ def check_no_profitable_deviation(
     the total); the move must beat the source latency by more than
     br_tolerance to count as profitable.
     """
-    import numpy as np
-
     p = np.asarray(p, dtype=float)
     if delta is None:
         delta = 1e-6 * lam

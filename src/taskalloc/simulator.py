@@ -91,7 +91,10 @@ class SimulationConfig(SimSettings):
         super().__post_init__()
         if self.seed < 0:  # numpy's seeding would reject it without naming the seed
             raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if any(q < 0.0 for q in self.p) or abs(sum(self.p) - 1.0) > SIMPLEX_TOL:
+        total = 0.0  # a plain loop: ``sum`` compensates from Python 3.12 on
+        for q in self.p:
+            total += q
+        if any(q < 0.0 for q in self.p) or abs(total - 1.0) > SIMPLEX_TOL:
             raise DomainError("routing probabilities must be non-negative and sum to 1")
 
 

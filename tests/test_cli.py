@@ -463,6 +463,31 @@ def test_golden_output_in_fresh_processes(tmp_path):
     assert differing == []
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["worst", "sweep"])
+def test_closed_stdout_exits_1_without_traceback(command, buffered):
+    """A reader that is gone (``| head``, say) ends the command with exit 1 and a quiet stderr.
+
+    Buffered, ``worst`` fits in stdout's buffer, so only the final flush
+    meets the closed pipe, while the 400 rows of a default ``sweep`` meet
+    it mid-write; unbuffered, both meet it at their first write.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "taskalloc.cli", command,
+                               str(SCENARIOS / "scenario1.json")],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""  # in particular, no traceback
+
+
 if __name__ == "__main__":
     import tempfile
 

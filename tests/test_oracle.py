@@ -5,15 +5,17 @@ import pytest
 
 from taskalloc import (
     InfeasibleLoadError,
-    OracleConfig,
     Scenario,
     ServerSpec,
     average_latency,
+    solve_nep,
+    solve_optimal,
+)
+from taskalloc.oracle import (
+    OracleConfig,
     best_response_nep,
     brute_force_optimal,
     check_no_profitable_deviation,
-    solve_nep,
-    solve_optimal,
 )
 
 from conftest import random_loads, random_scenario

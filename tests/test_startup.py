@@ -7,7 +7,8 @@ so ``import taskalloc`` and the commands ``solve`` (and ``nep``),
 and ``validate`` load it when they first need it.
 
 scipy takes about 1 s and 70 MB to import, most of a short CLI run.
-The oracle's polish (``oracle._refine``) imports it at first use.  The
+The oracle's polish (``oracle._refine``) imports it at first use, and
+neither ``import taskalloc`` nor any command loads the oracle.  The
 simulator's confidence interval (``simulator._mean_ci``) reads its
 Student-t quantile from a stored table up to 30 degrees of freedom, so
 ``simulate`` and ``validate`` load scipy only with more than 31
@@ -30,9 +31,16 @@ from contextlib import redirect_stdout
 def modules(name):
     return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
 
+oracle_at = []
+def check_oracle(point):
+    if "taskalloc.oracle" in sys.modules:
+        oracle_at.append(point)
+
 import taskalloc
+check_oracle("import taskalloc")
 seen = {"numpy_import": modules("numpy")}
 from taskalloc import cli
+check_oracle("import cli")
 seen["import"] = modules("scipy")
 seen["numpy_import_cli"] = modules("numpy")
 
@@ -46,32 +54,40 @@ light["worst"] = ["worst", scenario]
 for name, argv in light.items():
     with redirect_stdout(io.StringIO()):
         codes[name] = cli.main(argv)
+    check_oracle(name)
 seen["numpy_light"] = modules("numpy")
 
 with redirect_stdout(io.StringIO()):
     codes["sweep"] = cli.main(["sweep", scenario])
+check_oracle("sweep")
 seen["light"] = modules("scipy")
 
 with redirect_stdout(io.StringIO()):
     codes["simulate"] = cli.main(["simulate", scenario, "--rho", "0.5", "--jobs", "2000",
                                   "--reps", "2"])
+check_oracle("simulate")
 seen["simulate"] = modules("scipy")
 
 with redirect_stdout(io.StringIO()):
     codes["validate"] = cli.main(["validate", scenario, "--rho", "0.5"])
+check_oracle("validate")
 seen["validate"] = modules("scipy")
 
 with redirect_stdout(io.StringIO()):
     codes["simulate_31"] = cli.main(["simulate", scenario, "--rho", "0.5", "--jobs", "2000",
                                      "--reps", "31"])
+check_oracle("simulate_31")
 seen["simulate_31"] = modules("scipy")
 
 with redirect_stdout(io.StringIO()):
     codes["simulate_33"] = cli.main(["simulate", scenario, "--rho", "0.5", "--jobs", "2000",
                                      "--reps", "33"])
+check_oracle("simulate_33")
 seen["simulate_33"] = "scipy.stats" in sys.modules
 
-from taskalloc import brute_force_optimal, load_scenario_file
+seen["oracle_at"] = oracle_at
+from taskalloc import load_scenario_file
+from taskalloc.oracle import brute_force_optimal
 sc = load_scenario_file(scenario).scenario
 seen["oracle_split"] = [float(x) for x in brute_force_optimal(sc, 0.5 * sc.total_mu)]
 seen["codes"] = codes
@@ -86,6 +102,7 @@ def test_light_commands_do_not_import_scipy():
         capture_output=True, text=True, env=env, cwd=ROOT, check=True,
     )
     seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["oracle_at"] == []
     assert seen["numpy_import"] == []
     assert seen["numpy_import_cli"] == []
     assert seen["numpy_light"] == []

@@ -51,3 +51,10 @@ def test_goldens_hold_under_compensated_sum(golden, monkeypatch):
     actual = golden._golden_outputs()
     assert sorted(actual) == sorted(expected)
     assert [label for label in expected if actual[label] != expected[label]] == []
+
+
+def test_simplex_check_holds_under_compensated_sum(monkeypatch):
+    # Σp − 1 is 9.999999e-10 added plainly, but 1.0000001e-09 compensated: past SIMPLEX_TOL
+    monkeypatch.setattr(simulator, "sum", compensated_sum, raising=False)
+    p = (0.1,) * 10 + (9.999999999998e-10,)
+    assert simulator.SimulationConfig(lam=1.0, p=p).p == p
