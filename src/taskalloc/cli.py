@@ -332,8 +332,10 @@ def main(argv=None) -> int:
 def entry_point() -> None:
     """``main`` for a process; a closed stdout exits 1, as in the Python docs' note on SIGPIPE."""
     try:
-        code = main()
-        sys.stdout.flush()
+        try:
+            code = main()
+        finally:
+            sys.stdout.flush()  # also when argparse exits, after --help
     except BrokenPipeError:
         # the flush at exit would raise again: send what is left to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

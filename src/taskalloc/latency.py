@@ -84,8 +84,8 @@ class ServerSpec:
             raise ValueError(f"service rate must be > 0, got {self.mu}")
         if not (self.cv >= 0.0):
             raise ValueError(f"cv must be >= 0, got {self.cv}")
-        if math.inf in (self.d, self.mu, self.cv):  # NaN and -inf fail the checks above
-            raise ValueError(f"d, mu and cv must be finite, got {self.d}, {self.mu}, {self.cv}")
+        if math.inf in (self.d, self.mu, self.cv * self.cv):  # NaN and -inf fail the checks above
+            raise ValueError(f"d, mu and cv^2 must be finite, got {self.d}, {self.mu}, {self.cv}")
         if self.model is QueueModel.MM1 and self.cv != 1.0:
             raise ValueError("MM1 requires cv = 1")
         if self.model is QueueModel.MD1 and self.cv != 0.0:

@@ -45,9 +45,9 @@ is bit-identical to ``_solve``.
 The threshold table still inverts server by server through
 ``_invert_or_zero``.
 
-numpy is imported at first use, by the lockstep solve: a result keeps the
-split as the Python floats it was built from, and ``AllocationResult.p``
-becomes a float64 array when it is first read.
+numpy is imported at first use, by the lockstep solve and by ``average_latency``
+near the simplex tolerance: a result keeps the split as the Python floats it
+was built from, and ``AllocationResult.p`` becomes a float64 array at first read.
 """
 
 from __future__ import annotations
@@ -549,8 +549,8 @@ def average_latency(sc: Scenario, p, lam: float) -> float:
     """Average latency U(p) = sum_i p_i * l_i(p_i * lam) of an arbitrary split.
 
     A solver's split (``_split``) is read as its floats, anything else as a
-    float64 array.  The simplex check sums in numpy's order (``_pairwise_sum``),
-    so it decides as ``p.sum()`` would.
+    float64 array.  The simplex check decides as ``p.sum()`` would; numpy's own
+    sum decides only where rounding could flip an in-order sum's decision.
     """
     if type(p) is not _Split:
         import numpy as np
@@ -558,7 +558,20 @@ def average_latency(sc: Scenario, p, lam: float) -> float:
         p = np.asarray(p, dtype=float)
     if p.shape != (len(sc.servers),):
         raise DomainError(f"probability vector has shape {p.shape}, expected ({len(sc.servers)},)")
-    if any(q < -1e-12 for q in p) or abs(_pairwise_sum(p) - 1.0) > SIMPLEX_TOL:
+    sum_p, sum_abs, low = 0.0, 0.0, False
+    for q in p if type(p) is _Split else p.tolist():
+        sum_p += q
+        sum_abs += abs(q)
+        low = low or q < -1e-12
+    # Any order of summing n terms, this one and numpy's pairwise one alike, lies within
+    # gamma_(n-1) * sum|p_i| of the exact sum (Higham 2002, section 4.2); 4 n u covers twice that
+    # and the check's own rounding.  Nearer the tolerance, or when not finite, numpy's sum decides.
+    if not (abs(abs(sum_p - 1.0) - SIMPLEX_TOL) > 4.0 * len(p) * 2.0**-53 * sum_abs):
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            sum_p = float(np.add.reduce(np.asarray(p, dtype=float)))
+    if low or abs(sum_p - 1.0) > SIMPLEX_TOL:
         raise DomainError("probability vector is not on the simplex")
     total = 0.0
     for q, s in zip(p, sc.servers):
@@ -569,38 +582,3 @@ def average_latency(sc: Scenario, p, lam: float) -> float:
             raise DomainError(f"rate {x} overloads a server with capacity {s.mu}")
         total += q * latency(s, x)
     return float(total)
-
-
-def _pairwise_sum(a) -> float:
-    """``numpy.add.reduce`` of a float64 vector, bit for bit: its identity 0.0 plus ``_pairwise``.
-
-    Checked against numpy 2.4 (tests/test_allocation_result.py).
-    """
-    return 0.0 + _pairwise(a, 0, len(a))
-
-
-def _pairwise(a, lo: int, n: int) -> float:
-    """numpy's pairwise sum of ``a[lo:lo + n]``.
-
-    Below 8 entries, one running sum from 0.0; up to 128, eight interleaved
-    running sums, combined in pairs, then the remainder one by one; above
-    that, the sums of two halves split at a multiple of 8.
-    """
-    if n < 8:
-        total = 0.0
-        for i in range(lo, lo + n):
-            total += a[i]
-        return total
-    if n <= 128:
-        r = list(a[lo:lo + 8])
-        stop = lo + n - n % 8
-        for i in range(lo + 8, stop, 8):
-            for k in range(8):
-                r[k] += a[i + k]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(stop, lo + n):
-            total += a[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise(a, lo, half) + _pairwise(a, lo + half, n - half)

@@ -1,12 +1,14 @@
 """``AllocationResult`` and ``average_latency`` pinned to their numpy-built originals.
 
 The solver keeps a split as Python floats and builds ``AllocationResult.p``
-when it is first read, and ``average_latency`` sums a split in numpy's
-pairwise order without numpy.  The pins below were recorded when the split
-was an array from the start and the sum was ``p.sum()``, so they hold the
-lazy versions to the same bits, text and exceptions.
+when it is first read, and ``average_latency`` checks a split with an
+in-order sum, leaving to numpy's own sum only the splits within that sum's
+rounding bound of the tolerance.  The pins below were recorded when the
+split was an array from the start and the sum was ``p.sum()``, so they hold
+the lazy versions to the same bits, text and exceptions.
 """
 
+import math
 import pickle
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
@@ -28,7 +30,7 @@ from taskalloc import (
     solve_nep,
     solve_optimal,
 )
-from taskalloc.solver import SIMPLEX_TOL, _pairwise_sum, _split
+from taskalloc.solver import SIMPLEX_TOL, _Split, _split
 
 from conftest import random_loads
 
@@ -208,10 +210,31 @@ def test_average_latency_of_solver_splits_matches_the_numpy_sum(corpus):
                 assert _split(res) is res.p  # once read, the array is the split
 
 
-@settings(max_examples=500, deadline=None, database=None)
-@given(st.lists(st.floats(-1e300, 1e300) | st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0]),
-                min_size=1, max_size=400))
-def test_pairwise_sum_is_numpys_sum(values):
-    expected = float(np.add.reduce(np.array(values))).hex()
-    assert _pairwise_sum(values).hex() == expected
-    assert _pairwise_sum(np.array(values)).hex() == expected
+
+def _straddling_split(n: int, side: float) -> list:
+    """n >= 8 entries whose in-order sum and numpy's sum fall on opposite sides of 1 + side * tol.
+
+    The first entry is the float next to that bound whose next float up lies
+    across it; the others are 3/8 of its ulp each, so an in-order sum rounds
+    every one of them away, while numpy's pairwise sum adds them together
+    first and moves the total up by at least 2 ulps.
+    """
+    edge = 1.0 + side * SIMPLEX_TOL
+    edge = next(x for x in (edge + k * math.ulp(edge) for k in range(-4, 5))
+                if (abs(x - 1.0) > SIMPLEX_TOL) != (abs(x + math.ulp(x) - 1.0) > SIMPLEX_TOL))
+    return [edge] + [0.375 * math.ulp(edge)] * (n - 1)
+
+
+@pytest.mark.parametrize("container, n, side", [(list, 9, -1.0), (np.array, 16, 1.0),
+                                                (_Split, 130, 1.0), (_Split, 200, -1.0)],
+                         ids=["list", "array", "split-high", "split-low"])
+def test_average_latency_lets_numpy_decide_a_sum_near_the_tolerance(container, n, side):
+    values = _straddling_split(n, side)
+    in_order = 0.0
+    for q in values:
+        in_order += q
+    numpy_sum = float(np.add.reduce(np.array(values)))
+    assert (abs(in_order - 1.0) > SIMPLEX_TOL) != (abs(numpy_sum - 1.0) > SIMPLEX_TOL)
+    sc = Scenario(tuple(ServerSpec.mm1(0.01, 10.0) for _ in range(n)))
+    p = container(values)
+    assert _outcome(average_latency, sc, p, 1.0) == _outcome(_numpy_average_latency, sc, p, 1.0)

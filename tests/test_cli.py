@@ -213,6 +213,15 @@ def test_exit_codes(toy_file, tmp_path, capsys):
         assert main(["solve", str(nonfinite), "--load", "5"]) == 2
         assert "expected a finite number" in capsys.readouterr().err
 
+    # a finite cv whose queueing factor (1 + cv^2)/2 overflows, once printed as eta nan
+    huge_cv = tmp_path / "huge_cv.json"
+    huge_cv.write_text(json.dumps(dict(TOY, servers=[{"d_ms": 10, "mu": 5, "cv": 1e200},
+                                                     {"d_ms": 20, "mu": 8}])))
+    for argv in (["worst"], ["solve", "--rho", "0.5"]):
+        assert main([argv[0], str(huge_cv), *argv[1:]]) == 2
+        assert capsys.readouterr().err == (
+            "error: servers[0]: d, mu and cv^2 must be finite, got 0.01, 5.0, 1e+200\n")
+
     for grid in ("nonsense", "0.9:0.1:5", "0.1:0.9:1", "nan:0.5:3", "0.1:0.9:2.5", "0.1:0.9"):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", toy_file, "--grid", grid])
@@ -472,6 +481,28 @@ def test_closed_stdout_exits_1_without_traceback(command, buffered):
     meets the closed pipe, while the 400 rows of a default ``sweep`` meet
     it mid-write; unbuffered, both meet it at their first write.
     """
+    proc = _run_into_closed_stdout([command, str(SCENARIOS / "scenario1.json")], buffered)
+    assert proc.returncode == 1
+    assert proc.stderr == ""  # in particular, no traceback
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["help", "sweep-help"])
+def test_closed_stdout_on_help_is_quiet(argv, buffered):
+    """``--help`` into a closed stdout leaves stderr empty.
+
+    Buffered, the help text waits in stdout's buffer until argparse exits,
+    and the flush around ``main`` meets the closed pipe: exit 1.  Unbuffered,
+    argparse's own write fails and argparse drops the error, so nothing is
+    left to flush and ``--help`` exits 0 as usual.
+    """
+    proc = _run_into_closed_stdout(argv, buffered)
+    assert proc.returncode == (1 if buffered else 0)
+    assert proc.stderr == ""
+
+
+def _run_into_closed_stdout(argv, buffered: bool) -> subprocess.CompletedProcess:
+    """``python -m taskalloc.cli argv`` with stdout on a pipe whose read end is already closed."""
     env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
@@ -479,13 +510,10 @@ def test_closed_stdout_exits_1_without_traceback(command, buffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "taskalloc.cli", command,
-                               str(SCENARIOS / "scenario1.json")],
+        return subprocess.run([sys.executable, "-m", "taskalloc.cli", *argv],
                               stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
     finally:
         os.close(write_end)
-    assert proc.returncode == 1
-    assert proc.stderr == ""  # in particular, no traceback
 
 
 if __name__ == "__main__":

@@ -54,7 +54,8 @@ def any_server(draw):
     if model == "md1":
         return ServerSpec.md1(d, mu)
     if model == "mg1":
-        return ServerSpec.mg1(d, mu, draw(finite))
+        # above about 1.34e154, a = (1 + cv^2)/2 overflows and the constructor rejects the cv
+        return ServerSpec.mg1(d, mu, draw(st.floats(0.0, 1e154)))
     return as_generic(ServerSpec.mm1(d, mu))
 
 
@@ -271,6 +272,10 @@ def test_server_spec_validation():
                 dict(d=math.nan, mu=1.0), dict(d=0.0, mu=math.nan)):
         with pytest.raises(ValueError):
             ServerSpec(**bad)
+    for cv in (1.35e154, 1e200, 1.7976931348623157e308):  # a = (1 + cv^2)/2 overflows
+        with pytest.raises(ValueError, match=r"cv\^2 must be finite"):
+            ServerSpec.mg1(0.0, 1.0, cv)
+    assert ServerSpec.mg1(0.0, 1.0, 1.34e154).a < math.inf
     with pytest.raises(ValueError):
         ServerSpec(d=0.0, mu=1.0, cv=2.0, model=QueueModel.MM1)
     with pytest.raises(ValueError):
