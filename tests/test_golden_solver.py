@@ -1,7 +1,7 @@
 """Solver golden: the exact bits of thresholds and splits, pinned in a file.
 
-``tests/golden_solver.json`` holds, for the bundled scenarios and seeded
-random ones, ``float.hex`` of both kinds' activation thresholds and, at
+``tests/golden_solver.json`` holds, for the bundled scenarios, seeded
+random ones and two scenarios of user curves, ``float.hex`` of both kinds' activation thresholds and, at
 each probed load, of the split p, the multiplier and the mean latency,
 with the active count; a load that raises holds the exception's type and
 message instead.  The loads are random ones, the float before, at and
@@ -23,7 +23,7 @@ from taskalloc import AllocationKind, Scenario, ServerSpec, activation_threshold
 from taskalloc.solver import _solve
 
 from conftest import random_loads, random_scenario
-from test_latency import as_generic
+from test_latency import as_generic, power_server
 
 GOLDEN = Path(__file__).resolve().parent / "golden_solver.json"
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -46,6 +46,16 @@ def _cases():
     cases.append(("md1_ties", Scenario((
         ServerSpec.md1(0.02, 10.0), ServerSpec.mm1(0.02, 10.0), ServerSpec.md1(0.02, 10.0),
         ServerSpec.mg1(0.07, 20.0, 0.5), ServerSpec.md1(0.095, 40.0), ServerSpec.mm1(0.1, 8.0),
+    ))))
+    # user curves (numeric inversion) on two servers, then on every server
+    cases.append(("two_user_curves", Scenario((
+        ServerSpec.mm1(0.01, 50.0), power_server(0.04, 1000.0), as_generic(ServerSpec.mg1(0.02, 80.0, 2.0)),
+        ServerSpec.md1(0.03, 30.0),
+    ))))
+    cases.append(("all_user_curves", Scenario((
+        as_generic(ServerSpec.mm1(0.005, 20.0)), power_server(0.01, 40.0, 2.0),
+        as_generic(ServerSpec.mg1(0.02, 60.0, 3.0)), power_server(0.03, 100.0),
+        as_generic(ServerSpec.md1(0.03, 25.0)),
     ))))
     return cases
 

@@ -36,6 +36,12 @@ def as_generic(s: ServerSpec) -> ServerSpec:
     )
 
 
+def power_server(d: float, mu: float, k: float = 1.5) -> ServerSpec:
+    """A user curve outside the closed-form family: l(x) = d + mu^(k-1) / (mu - x)^k."""
+    return ServerSpec.from_functions(d, mu, lambda x: d + mu ** (k - 1.0) / (mu - x) ** k,
+                                     lambda x: k * mu ** (k - 1.0) / (mu - x) ** (k + 1.0))
+
+
 def test_zero_load_latency_is_d_plus_service_time():
     for s in (ServerSpec.mm1(0.04, 15.0), ServerSpec.md1(0.02, 4.66),
               ServerSpec.mg1(0.1, 3.0, 2.5)):
