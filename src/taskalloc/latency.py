@@ -52,7 +52,10 @@ class GenericLatencyModel:
     ``latency_fn`` maps an offered rate in [0, mu) to seconds and must be
     strictly increasing and convex with latency_fn(0) = d + 1/mu;
     ``derivative_fn`` is its exact derivative (no finite differences, so
-    that l + x*l' stays exactly monotone for the solver).
+    that l + x*l' stays exactly monotone for the solver).  Both must give
+    the same value each time they are called at the same rate: a solve
+    reuses values it has already read, and calls the functions only at the
+    rates the signs of its multiplier bisection need.
     """
 
     latency_fn: Callable[[float], float]

@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .errors import ScenarioParseError
+from .errors import DomainError, ScenarioParseError
 from .latency import QueueModel, ServerSpec
 from .poa import SweepSpec
 from .simulator import SimSettings
@@ -158,7 +158,10 @@ def _parse_simulation(obj, location: str) -> SimSettings:
     _require(sim["horizon_jobs"] > 0, "horizon_jobs must be > 0", f"{location}.horizon_jobs")
     _require(sim["replications"] >= 1, "replications must be >= 1", f"{location}.replications")
     _require(0.0 <= sim["warmup"] <= 0.5, "warmup must be in [0, 0.5]", f"{location}.warmup")
-    return SimSettings(**sim)
+    try:
+        return SimSettings(**sim)
+    except DomainError as exc:
+        raise ScenarioParseError(str(exc), location) from None
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioDocument:

@@ -74,6 +74,11 @@ class SimSettings:
             raise DomainError(f"warmup fraction must be in [0, 0.5], got {self.warmup}")
         if self.replications < 1:
             raise DomainError(f"replications must be >= 1, got {self.replications}")
+        # the kept window runs from the cutoff job's arrival (time 0 without a cutoff) to the last
+        cutoff = int(self.warmup * self.horizon_jobs)
+        if 0 < cutoff >= self.horizon_jobs - 1:
+            raise DomainError(f"a warmup of {self.warmup} over {self.horizon_jobs} jobs keeps a window "
+                              f"of fewer than two arrivals")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -94,7 +99,7 @@ class SimulationConfig(SimSettings):
         total = 0.0  # a plain loop: ``sum`` compensates from Python 3.12 on
         for q in self.p:
             total += q
-        if any(q < 0.0 for q in self.p) or abs(total - 1.0) > SIMPLEX_TOL:
+        if any(not (q >= 0.0) for q in self.p) or abs(total - 1.0) > SIMPLEX_TOL:  # NaN fails q >= 0
             raise DomainError("routing probabilities must be non-negative and sum to 1")
 
 

@@ -45,6 +45,19 @@ is bit-identical to ``_solve``.
 The threshold table still inverts server by server through
 ``_invert_or_zero``.
 
+With a user curve among the active servers, the multiplier's bracket and
+bisection ask only the sign of ``remaining(t)``, and
+``_settled_remaining`` answers it with the same bits while calling the
+curves far less.  Each user curve is bisected on the tree of midpoints
+that ``_invert_or_zero`` walks; within one solve it keeps the path of the
+previous target and reuses fn(mid) wherever the midpoint is the same
+float.  The last user curve in activation order is walked only until its
+bracket settles the sign: the in-order sum with the bracket's low end is
+>= 0.0, or with its high end < 0.0.  Its inverse ends inside the bracket,
+and rounded additions are monotone, so that is the sign of the full sum.
+The bracket's low end, the threshold table and the final rates still
+invert fully, through ``_invert_or_zero``.
+
 numpy is imported at first use, by the lockstep solve and by ``average_latency``
 near the simplex tolerance: a result keeps the split as the Python floats it
 was built from, and ``AllocationResult.p`` becomes a float64 array at first read.
@@ -54,6 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from types import SimpleNamespace
 
 from .errors import ConvergenceError, DomainError, InfeasibleLoadError, InversionError, SaturationError
@@ -291,13 +305,16 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
                 total += 0.0 if t <= z0 else inv(s, t)
             return total - lam
 
+        # the bracket and the bisection test only the residual's sign, which user curves settle early
+        user_curve = any(s.model is QueueModel.GENERIC for s in active)
+        sign = _settled_remaining(active, kind, lam, cfg) if user_curve else remaining
         lo = active[-1].z0 + cfg.resolution
         if j < n:
             hi = sc.servers[order[j]].z0
         else:
             hi = 2.0 * active[-1].z0
             grow = 0
-            while remaining(hi) < 0.0:
+            while sign(hi) < 0.0:
                 hi *= 2.0
                 grow += 1
                 if grow > 200:
@@ -309,7 +326,7 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
         if f_lo > 0.0:
             # the +resolution shift overshot an extremely sharp curve
             lo = active[-1].z0
-        mult = _bisect_multiplier(remaining, lo, hi, cfg.resolution)
+        mult = _bisect_multiplier(sign, lo, hi, cfg.resolution)
         closed = not sc.has_generic()
         if closed:
             # Newton polish to push the normalization residual to rounding level
@@ -359,6 +376,125 @@ def _bisect_multiplier(residual, lo: float, hi: float, resolution: float) -> flo
     """Root of an increasing residual on [lo, hi], to absolute/ulp resolution."""
     # residual(hi) < 0 can only happen through rounding at an exact threshold load
     return hi if residual(hi) < 0.0 else _bisect(residual, 0.0, lo, hi, resolution)
+
+
+def _settled_remaining(active: list[ServerSpec], kind: AllocationKind, lam: float, cfg: SolverConfig):
+    """A residual whose sign is ``_solve``'s ``remaining(t)``'s at every target, bit for bit.
+
+    ``active`` lists the active servers in activation order, at least one with a user
+    curve.  Each user curve is inverted by a ``_UserInverse`` kept for the whole solve, and
+    the last of them is walked only until the in-order sum, with its inverse as the one
+    term still open, settles its sign.
+    """
+    closed_inv = closed_invert_marginal if kind is AllocationKind.OPTIMAL else closed_invert_latency
+    inverses = [(s.z0, _UserInverse(s, kind, cfg) if s.model is QueueModel.GENERIC else partial(closed_inv, s))
+                for s in active]
+    last = max(k for k, s in enumerate(active) if s.model is QueueModel.GENERIC)
+    head, (z_open, open_inverse), tail = inverses[:last], inverses[last], inverses[last + 1:]
+
+    def residual(t: float) -> float:
+        before = 0.0
+        for z0, inv in head:
+            before += 0.0 if t <= z0 else inv(t)
+        after = [0.0 if t <= z0 else inv(t) for z0, inv in tail]
+
+        def total(x: float) -> float:
+            # remaining(t) with x for the open term: rounded additions are monotone in x
+            r = before + x
+            for v in after:
+                r += v
+            return r - lam
+
+        return total(0.0) if t <= z_open else open_inverse(t, total)
+
+    return residual
+
+
+def _settled(total, lo: float, hi: float):
+    """total(lo) if that is >= 0.0, else total(hi) if that is < 0.0, else None (also for a NaN)."""
+    r = total(lo)
+    if r >= 0.0:
+        return r
+    r = total(hi)
+    return r if r < 0.0 else None
+
+
+class _UserInverse:
+    """``_invert_or_zero`` of one user curve at targets above its zero-load latency, within one solve.
+
+    It bisects as ``latency._bisect_rate`` does: the same midpoints on [0, top], top =
+    mu (1 - eps_sat), the same ``fn(mid) < t`` tests and stops, and top itself where
+    fn(top) < t (the saturation fallback).  A midpoint depends only on the tests above it.
+    So the walk keeps the last target's path, one (fn(mid), fn(mid) < t, lo, hi) step per
+    depth, follows it while a kept value takes the same branch at the new target, reuses
+    the value where it first branches off, and calls fn only below that.  fn(top) is
+    probed once.
+    """
+
+    def __init__(self, s: ServerSpec, kind: AllocationKind, cfg: SolverConfig):
+        fn = s.generic.latency_fn
+        if kind is AllocationKind.OPTIMAL:
+            fd = s.generic.derivative_fn
+            fn = lambda x, fn=fn: fn(x) + x * fd(x)  # invert_marginal's curve
+        self.fn = fn
+        self.top = s.mu * (1.0 - cfg.eps_sat)
+        self.resolution = cfg.resolution
+        self.f_top = None
+        self.path: list[tuple[float, bool, float, float]] = []
+
+    def __call__(self, t: float, total=None) -> float:
+        """The inverse at ``t``; given ``total``, a float with the sign of total(inverse).
+
+        ``total`` is non-decreasing in the inverse, which always ends inside the current
+        bracket [lo, hi]: so before each call of fn the walk stops if total(lo) >= 0.0 or
+        total(hi) < 0.0.  Both saturation outcomes lie in [0, top], so fn(top) is probed
+        only once a step is needed.
+        """
+        lo, hi = 0.0, self.top
+        if self.f_top is None:
+            if total is not None and (r := _settled(total, lo, hi)) is not None:
+                return r
+            self.f_top = self.fn(hi)
+        if self.f_top < t:
+            x = hi
+        elif not hi > self.resolution:
+            x = 0.5 * hi
+        else:
+            path, res, depth, branch = self.path, self.resolution, 0, None
+            for f, below, lo_kept, hi_kept in path:
+                if (f < t) is not below:
+                    # the kept value at this depth sends t the other way
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if f < t else (lo, mid)
+                    branch = (f, not below, lo, hi)
+                    break
+                lo, hi = lo_kept, hi_kept
+                depth += 1
+            while True:
+                # _bisect's steps, its resolution stop moved first: the walk starts from [0, top],
+                # top > resolution, or from a step's bracket, so the same stops fire
+                if hi - lo <= res:
+                    x = 0.5 * (lo + hi)
+                    break
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    x = mid
+                    break
+                if total is not None and (r := _settled(total, lo, hi)) is not None:
+                    return r
+                if branch is not None:
+                    # written only now, so that a sign settled first keeps the kept path whole
+                    del path[depth:]
+                    path.append(branch)
+                    branch = None
+                f = self.fn(mid)
+                below = f < t
+                if below:
+                    lo = mid
+                else:
+                    hi = mid
+                path.append((f, below, lo, hi))
+        return x if total is None else total(x)
 
 
 def solve_lockstep(sc: Scenario, lams: np.ndarray):

@@ -1,9 +1,20 @@
-"""Shared helpers for the test suite: seeded random scenario corpora."""
+"""Shared helpers for the test suite: seeded random scenario corpora, hypothesis profiles.
+
+``HYPOTHESIS_PROFILE=ci`` runs every property test on a fixed, larger set of
+examples, so that a failure in CI reproduces on a rerun; tests that set
+their own ``max_examples`` keep it.
+"""
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from taskalloc import Scenario, ServerSpec
+
+settings.register_profile("ci", derandomize=True, max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_server(rng: np.random.Generator) -> ServerSpec:

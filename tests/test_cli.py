@@ -302,6 +302,18 @@ def _write(tmp_path, name: str, **sections) -> str:
     return str(path)
 
 
+def test_kept_window_of_fewer_than_two_arrivals(tmp_path, capsys):
+    """From the file, the parser's located error (exit 2); from --jobs, exit 4 as for --jobs -5."""
+    message = "a warmup of 0.5 over 2 jobs keeps a window of fewer than two arrivals"
+    short = _write(tmp_path, "short.json", simulation={"horizon_jobs": 2, "warmup": 0.5})
+    assert main(["simulate", short, "--load", "1"]) == 2
+    assert capsys.readouterr().err == f"error: simulation: {message}\n"
+    half = _write(tmp_path, "half.json", simulation={"warmup": 0.5})
+    for command in ("simulate", "validate"):
+        assert main([command, half, "--load", "1", "--jobs", "2"]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _run(capsys, argv, out):
     """Exit code, stdout and CSV bytes of one command, with the CSV path masked."""
     code = main(argv + ["--out", str(out)])

@@ -103,8 +103,18 @@ def _sweep(draw):
     return SweepSpec(count=draw(st.integers(2, 10**6)), rho_min=rho_min, rho_max=rho_max)
 
 
-_simulation = st.builds(SimSettings, horizon_jobs=st.integers(1, 10**30), seed=st.integers(),
-                        replications=st.integers(1, 10**6), warmup=st.floats(0.0, 0.5))
+def _constructs(kwargs) -> bool:
+    try:
+        SimSettings(**kwargs)
+    except DomainError:  # e.g. 2 jobs at warmup 0.5: an empty kept window
+        return False
+    return True
+
+
+_simulation = st.fixed_dictionaries(dict(
+    horizon_jobs=st.integers(1, 10**30), seed=st.integers(), replications=st.integers(1, 10**6),
+    warmup=st.floats(0.0, 0.5),
+)).filter(_constructs).map(lambda kwargs: SimSettings(**kwargs))
 _document = st.builds(
     ScenarioDocument,
     scenario=st.builds(Scenario, st.lists(_server(), min_size=1, max_size=5).map(tuple),
@@ -302,8 +312,10 @@ def test_every_sweep_spec_that_constructs_dumps_and_reparses_equal(kwargs):
     ({"warmup": -0.1}, "simulation.warmup: warmup must be in [0, 0.5]", "simulation.warmup"),
     ({"horizon_jobs": 0, "replications": 0, "warmup": 1},
      "simulation.horizon_jobs: horizon_jobs must be > 0", "simulation.horizon_jobs"),
+    ({"horizon_jobs": 2, "warmup": 0.5},
+     "simulation: a warmup of 0.5 over 2 jobs keeps a window of fewer than two arrivals", "simulation"),
 ], ids=["sim0", "sim1", "sim2", "not-object", "unknown-key", "boolean-horizon",
-        "fractional-seed", "string-warmup", "negative-warmup", "horizon-checked-first"])
+        "fractional-seed", "string-warmup", "negative-warmup", "horizon-checked-first", "empty-window"])
 def test_simulation_validation(sim, message, location):
     err = _section_error("simulation", sim)
     assert (str(err), err.location) == (message, location)

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -333,14 +334,29 @@ def test_raw_samples_bytes(tmp_path, replications):
     assert digests == RAW_SHA256[replications]
 
 
-def test_nan_split_raises_numpys_error(toy):
-    """A NaN in the split gets past SimulationConfig (abs(nan - 1) > tol is False);
-    routing raises Generator.choice's error for it."""
-    cfg = SimulationConfig(lam=1.0, p=(math.nan, 0.5), horizon_jobs=1_000)
-    with pytest.raises(ValueError) as error:
-        simulate(toy, cfg)
-    assert type(error.value) is ValueError
-    assert str(error.value) == "Probabilities contain NaN"
+def test_nan_split_is_rejected_at_construction():
+    """A NaN in the split fails the non-negativity test (NaN >= 0 is False), as a negative entry does.
+
+    It used to construct, because abs(nan - 1) > tol is False, and routing then raised
+    Generator.choice's "Probabilities contain NaN"."""
+    for p in ((math.nan, 0.5), (0.5, 0.5, math.nan)):
+        with pytest.raises(DomainError) as error:
+            SimulationConfig(lam=1.0, p=p, horizon_jobs=1_000)
+        assert str(error.value) == "routing probabilities must be non-negative and sum to 1"
+
+
+def test_kept_window_of_fewer_than_two_arrivals_is_rejected(toy):
+    """Two jobs at warmup 0.5 keep only the last one, and the window from its arrival to
+    itself is empty: simulate reported utilization inf and arrival rates nan."""
+    for make in (SimSettings, partial(SimulationConfig, lam=1.0, p=(0.5, 0.5))):
+        with pytest.raises(DomainError) as error:
+            make(horizon_jobs=2, warmup=0.5)
+        assert str(error.value) == "a warmup of 0.5 over 2 jobs keeps a window of fewer than two arrivals"
+    # a window that starts at time 0 (no cutoff), or spans two arrivals, is kept
+    for jobs, warmup in ((1, 0.5), (2, 0.4), (3, 0.5)):
+        report = simulate(toy, SimulationConfig(lam=1.0, p=(0.5, 0.5), horizon_jobs=jobs, warmup=warmup))
+        assert math.isfinite(report.utilization)
+        assert all(math.isfinite(stats.arrival_rate) for stats in report.per_server)
 
 
 # float.hex() of latency_ci (aggregate, then per server) on scenario1 at

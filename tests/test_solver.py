@@ -28,10 +28,10 @@ from taskalloc import (
     zero_load_latency,
 )
 from taskalloc.latency import closed_invert_latency, closed_invert_marginal
-from taskalloc.solver import _invert_or_zero, _solve
+from taskalloc.solver import _invert_or_zero, _settled_remaining, _solve
 
 from conftest import random_loads, random_scenario
-from test_latency import as_generic
+from test_latency import as_generic, power_server
 
 TOL = 10e-12  # 10 times the default resolution
 
@@ -355,27 +355,119 @@ def test_faulty_generic_curve_is_not_read_as_saturation():
         solve_nep(sc, 1.2)
 
 
-def test_user_curve_raising_inside_the_multiplier_bisection():
-    """A fault the threshold table never reaches propagates from the bisection as raised.
-
-    The curve fails only on x in (0.3, 0.32).  Inverting it at the
-    threshold table's targets never probes there; inverting it at the
-    bisection's first midpoint (latency 1.5, rate 1/3) does.
-    """
+def _patchy_scenario(lo, hi):
+    """A user curve 1/(1 - x) that raises on x in (lo, hi), between two MM1 servers."""
 
     def patchy_latency(x):
-        if 0.3 < x < 0.32:
+        if lo < x < hi:
             raise ValueError(f"curve undefined at x = {x!r}")
         return 1.0 / (1.0 - x)
 
     patchy = ServerSpec.from_functions(0.0, 1.0, patchy_latency, lambda x: 1.0 / (1.0 - x) ** 2)
-    sc = Scenario((ServerSpec.mm1(0.0, 2.0), patchy, ServerSpec.mm1(0.0, 0.5)))
+    return Scenario((ServerSpec.mm1(0.0, 2.0), patchy, ServerSpec.mm1(0.0, 0.5)))
+
+
+def test_user_curve_raising_inside_the_multiplier_bisection():
+    """A fault the threshold table never reaches propagates from the bisection as raised.
+
+    The curve fails only on x in (0.105, 0.11).  Inverting it at the threshold
+    table's targets, or at the bracket's low end, never probes there; the
+    bisection, closing in on the split's rate 1/12, does before its sign settles.
+    """
+    sc = _patchy_scenario(0.105, 0.11)
     assert activation_thresholds(sc, AllocationKind.NEP).loads[1] == 1.0
     with pytest.raises(ValueError) as exc:
         solve_nep(sc, 1.2)
-    assert str(exc.value) == "curve undefined at x = 0.31249999968750003"
+    assert str(exc.value) == "curve undefined at x = 0.109374999890625"
     assert "_bisect_multiplier" in [entry.name for entry in exc.traceback]
     assert "activation_thresholds" not in [entry.name for entry in exc.traceback]
+
+
+def test_user_curve_is_not_called_past_a_settled_sign():
+    """A rate a full inversion would probe, but no open sign needs, is never asked for.
+
+    Inverting the curve fully at the bisection's first midpoint (latency 1.5)
+    probes x = 0.3125 on its way to 1/3.  The other active server alone then
+    carries more than the load, so that step's sign is settled before the
+    curve is called, and the fault on (0.3, 0.32) changes no bit.
+    """
+    faulty, clean = solve_nep(_patchy_scenario(0.3, 0.32), 1.2), solve_nep(_patchy_scenario(2.0, 3.0), 1.2)
+    assert [float(q).hex() for q in faulty.p] == [float(q).hex() for q in clean.p]
+    assert (faulty.multiplier.hex(), faulty.mean_latency.hex()) == (clean.multiplier.hex(), clean.mean_latency.hex())
+
+
+@st.composite
+def user_curve_residual_case(draw):
+    """2-6 servers, 1..n of them user curves, a kind and a load that ``_solve`` solves."""
+    n = draw(st.integers(2, 6))
+    servers = []
+    for _ in range(n):
+        d, mu = draw(st.floats(0.0, 0.2)), draw(st.floats(1.0, 300.0))
+        model = draw(st.sampled_from(["mm1", "md1", "mg1"]))
+        servers.append(ServerSpec.mm1(d, mu) if model == "mm1" else ServerSpec.md1(d, mu) if model == "md1"
+                       else ServerSpec.mg1(d, mu, draw(st.floats(0.01, 3.0))))
+    for i in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+        s = servers[i]
+        servers[i] = (as_generic(s) if draw(st.booleans())
+                      else power_server(s.d, s.mu, draw(st.floats(1.1, 3.0))))
+    sc = Scenario(tuple(servers))
+    kind = draw(st.sampled_from(list(AllocationKind)))
+    lam = draw(st.floats(1e-3, 0.999)) * sc.load_cap
+    return sc, kind, lam, draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+
+
+@settings(deadline=None)
+@given(user_curve_residual_case())
+def test_settled_residual_has_the_sign_of_the_full_residual(case):
+    """The bisection's residual for user curves settles each sign as the full sum of inverses would.
+
+    One residual is asked, in the drawn order, at targets from across the
+    multiplier's range and within 4 ulps of the multiplier ``_solve`` returns; the
+    reference sums ``_invert_or_zero`` over the active servers in activation order.
+    """
+    sc, kind, lam, fractions = case
+    res = _solve(sc, lam, kind)
+    cfg = sc.config
+    active = [sc.servers[i] for i in res.order[:res.active_count]]
+    assume(any(s.model is QueueModel.GENERIC for s in active))
+
+    def remaining(t):
+        total = 0.0
+        for s in active:
+            total += _invert_or_zero(s, kind, t, cfg)
+        return total - lam
+
+    z0 = active[-1].z0
+    targets = [z0 + f * 2.0 * (res.multiplier - z0) for f in fractions]
+    targets += [res.multiplier + k * math.ulp(res.multiplier) for k in range(-4, 5)]
+    sign = _settled_remaining(active, kind, lam, cfg)
+    for t in targets:
+        assert (sign(t) < 0.0) == (remaining(t) < 0.0), t
+
+
+def test_user_curve_calls_per_solve():
+    """scenario1 with a user curve for its last server: a solve calls the curve a few hundred times.
+
+    A full inversion to the default resolution calls it about 45 times; inverting it
+    fully at every step of the multiplier bisection, as well, took over 2,000 calls.
+    """
+    calls = [0]
+    d, mu, k = 0.150, 20.0, 1.5
+
+    def curve(x):
+        calls[0] += 1
+        return d + mu ** (k - 1.0) / (mu - x) ** k
+
+    def slope(x):
+        calls[0] += 1
+        return k * mu ** (k - 1.0) / (mu - x) ** (k + 1.0)
+
+    sc = Scenario(SCENARIO1.servers[:2] + (ServerSpec.from_functions(d, mu, curve, slope),))
+    loads = [rho * sc.total_mu for rho in np.linspace(0.05, 0.95, 10)]
+    for solve in (solve_optimal, solve_nep):
+        for lam in loads:
+            solve(sc, lam)
+    assert calls[0] / (2 * len(loads)) <= 400
 
 
 def test_user_curve_inversions_end_where_the_rate_spacing_exceeds_the_resolution():
@@ -386,10 +478,6 @@ def test_user_curve_inversions_end_where_the_rate_spacing_exceeds_the_resolution
     mm1_shaped = ServerSpec.from_functions(0.0, mu, lambda x: 1.0 / (mu - x),
                                            lambda x: 1.0 / (mu - x) ** 2)
     assert invert_latency(mm1_shaped, latency(mm1_shaped, 15000.3)) == pytest.approx(15000.3)
-
-    def power_server(d, mu, k=1.5):
-        return ServerSpec.from_functions(d, mu, lambda x: d + mu ** (k - 1.0) / (mu - x) ** k,
-                                         lambda x: k * mu ** (k - 1.0) / (mu - x) ** (k + 1.0))
 
     sc = Scenario((ServerSpec.mm1(0.02, 3000.0), power_server(0.01, 10000.0)))
     for solve in (solve_nep, solve_optimal):
