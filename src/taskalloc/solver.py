@@ -45,18 +45,24 @@ is bit-identical to ``_solve``.
 The threshold table still inverts server by server through
 ``_invert_or_zero``.
 
-With a user curve among the active servers, the multiplier's bracket and
-bisection ask only the sign of ``remaining(t)``, and
-``_settled_remaining`` answers it with the same bits while calling the
-curves far less.  Each user curve is bisected on the tree of midpoints
-that ``_invert_or_zero`` walks; within one solve it keeps the path of the
-previous target and reuses fn(mid) wherever the midpoint is the same
-float.  The last user curve in activation order is walked only until its
-bracket settles the sign: the in-order sum with the bracket's low end is
->= 0.0, or with its high end < 0.0.  Its inverse ends inside the bracket,
-and rounded additions are monotone, so that is the sign of the full sum.
-The bracket's low end, the threshold table and the final rates still
-invert fully, through ``_invert_or_zero``.
+With a user curve among the active servers, each user curve gets one
+``_UserInverse`` for the whole solve, and every inversion of it in the
+solve goes through that walker: the bracket's low end, the doubling of
+its high end, the multiplier bisection and the final rates.  The walker
+bisects on the tree of midpoints that ``_invert_or_zero`` walks, keeps
+the path of the previous target, and resumes it at the depth where a new
+target branches off, reusing fn(mid) wherever the midpoint is the same
+float.  ``_settled_remaining`` gives the bracket and the bisection the
+sign of ``remaining(t)`` with the same bits while calling the curves far
+less: the last user curve in activation order is walked only until its
+bracket settles the sign, that is until the in-order sum with the
+bracket's low end is >= 0.0, or with its high end < 0.0.  Its inverse
+ends inside the bracket, and rounded additions are monotone, so that is
+the sign of the full sum.  The low end asks only whether remaining(lo) >
+0.0, which the same walk settles once totals <= 0.0 read as -1.0.  The
+final rates follow the path the bisection left, bit for bit
+``_invert_or_zero``.  The threshold table still inverts through
+``_invert_or_zero``.
 
 numpy is imported at first use, by the lockstep solve and by ``average_latency``
 near the simplex tolerance: a result keeps the split as the Python floats it
@@ -65,6 +71,7 @@ was built from, and ``AllocationResult.p`` becomes a float64 array at first read
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -76,6 +83,7 @@ from .latency import (
     EPS_SAT,
     QueueModel,
     ServerSpec,
+    _bad_value,
     _bisect,
     _check_settings,
     closed_invert_latency,
@@ -91,6 +99,7 @@ from .latency import (
 )
 
 SIMPLEX_TOL = 1e-9  # largest |sum(p) - 1| accepted for a split
+_NEG_INF = -math.inf
 
 
 class AllocationKind(str, Enum):
@@ -290,24 +299,24 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
         mean = latency(s, x)
     else:
         active = [sc.servers[i] for i in order[:j]]
-        closed_inv = closed_invert_marginal if kind is AllocationKind.OPTIMAL else closed_invert_latency
-
-        def generic_inv(s: ServerSpec, t: float) -> float:
-            return _invert_or_zero(s, kind, t, cfg)
-
-        # each loop below evaluates "0.0 if t <= z0 else inv(s, t)", bit for bit _invert_or_zero;
-        # "t <= z0" is False for a NaN target, which then runs the formula, as there
-        curves = [(s, s.z0, generic_inv if s.model is QueueModel.GENERIC else closed_inv) for s in active]
-
-        def remaining(t: float) -> float:
-            total = 0.0
-            for s, z0, inv in curves:
-                total += 0.0 if t <= z0 else inv(s, t)
-            return total - lam
-
-        # the bracket and the bisection test only the residual's sign, which user curves settle early
         user_curve = any(s.model is QueueModel.GENERIC for s in active)
-        sign = _settled_remaining(active, kind, lam, cfg) if user_curve else remaining
+        if user_curve:
+            # one walker per user curve inverts it everywhere below; the signs settle early
+            sign, rates_at = _settled_remaining(active, kind, lam, cfg)
+            low_sign = partial(sign, strict=True)
+        else:
+            closed_inv = closed_invert_marginal if kind is AllocationKind.OPTIMAL else closed_invert_latency
+            # each loop below evaluates "0.0 if t <= z0 else closed_inv(s, t)", bit for bit
+            # _invert_or_zero; "t <= z0" is False for a NaN target, which then runs the formula, as there
+            curves = [(s, s.z0) for s in active]
+
+            def remaining(t: float) -> float:
+                total = 0.0
+                for s, z0 in curves:
+                    total += 0.0 if t <= z0 else closed_inv(s, t)
+                return total - lam
+
+            sign = low_sign = remaining
         lo = active[-1].z0 + cfg.resolution
         if j < n:
             hi = sc.servers[order[j]].z0
@@ -322,8 +331,7 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
                         "could not bracket the multiplier; a generic latency model "
                         "may not be strictly increasing"
                     )
-        f_lo = remaining(lo)
-        if f_lo > 0.0:
+        if low_sign(lo) > 0.0:
             # the +resolution shift overshot an extremely sharp curve
             lo = active[-1].z0
         mult = _bisect_multiplier(sign, lo, hi, cfg.resolution)
@@ -332,8 +340,8 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
             # Newton polish to push the normalization residual to rounding level
             for _ in range(3):
                 total = slope = 0.0
-                for s, z0, inv in curves:
-                    x = 0.0 if mult <= z0 else inv(s, mult)
+                for s, z0 in curves:
+                    x = 0.0 if mult <= z0 else closed_inv(s, mult)
                     total += x
                     if x > 0.0:
                         slope += _inverse_slope(s, kind, x)
@@ -343,7 +351,10 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
                 if not (lo <= nxt <= hi):
                     break
                 mult = nxt
-        rates = [0.0 if mult <= z0 else inv(s, mult) for s, z0, inv in curves]
+        if user_curve:
+            rates = rates_at(mult)
+        else:
+            rates = [0.0 if mult <= z0 else closed_inv(s, mult) for s, z0 in curves]
         total = 0.0
         for r in rates:
             total += r
@@ -379,12 +390,15 @@ def _bisect_multiplier(residual, lo: float, hi: float, resolution: float) -> flo
 
 
 def _settled_remaining(active: list[ServerSpec], kind: AllocationKind, lam: float, cfg: SolverConfig):
-    """A residual whose sign is ``_solve``'s ``remaining(t)``'s at every target, bit for bit.
+    """(residual, rates) for ``_solve`` on ``active``, the active servers in activation order,
+    at least one with a user curve.
 
-    ``active`` lists the active servers in activation order, at least one with a user
-    curve.  Each user curve is inverted by a ``_UserInverse`` kept for the whole solve, and
-    the last of them is walked only until the in-order sum, with its inverse as the one
-    term still open, settles its sign.
+    Each user curve is inverted by one ``_UserInverse`` kept for the whole solve, and both
+    functions go through it.  residual(t) has the sign of ``_solve``'s remaining(t), the
+    in-order sum of ``_invert_or_zero`` minus the load, at every target: the last user curve
+    is walked only until the sum, with its inverse as the one term still open, settles the
+    sign.  residual(t, strict=True) is >= 0.0 exactly where remaining(t) > 0.0.  rates(t)
+    is each server's ``_invert_or_zero`` at t, bit for bit.
     """
     closed_inv = closed_invert_marginal if kind is AllocationKind.OPTIMAL else closed_invert_latency
     inverses = [(s.z0, _UserInverse(s, kind, cfg) if s.model is QueueModel.GENERIC else partial(closed_inv, s))
@@ -392,7 +406,7 @@ def _settled_remaining(active: list[ServerSpec], kind: AllocationKind, lam: floa
     last = max(k for k, s in enumerate(active) if s.model is QueueModel.GENERIC)
     head, (z_open, open_inverse), tail = inverses[:last], inverses[last], inverses[last + 1:]
 
-    def residual(t: float) -> float:
+    def residual(t: float, strict: bool = False) -> float:
         before = 0.0
         for z0, inv in head:
             before += 0.0 if t <= z0 else inv(t)
@@ -405,18 +419,16 @@ def _settled_remaining(active: list[ServerSpec], kind: AllocationKind, lam: floa
                 r += v
             return r - lam
 
+        if strict:
+            # remaining(t) > 0.0 as a sign; the map to -1.0 keeps total non-decreasing in x
+            signed = total
+            total = lambda x: r if (r := signed(x)) > 0.0 else -1.0
         return total(0.0) if t <= z_open else open_inverse(t, total)
 
-    return residual
+    def rates(t: float) -> list[float]:
+        return [0.0 if t <= z0 else inv(t) for z0, inv in inverses]
 
-
-def _settled(total, lo: float, hi: float):
-    """total(lo) if that is >= 0.0, else total(hi) if that is < 0.0, else None (also for a NaN)."""
-    r = total(lo)
-    if r >= 0.0:
-        return r
-    r = total(hi)
-    return r if r < 0.0 else None
+    return residual, rates
 
 
 class _UserInverse:
@@ -425,10 +437,17 @@ class _UserInverse:
     It bisects as ``latency._bisect_rate`` does: the same midpoints on [0, top], top =
     mu (1 - eps_sat), the same ``fn(mid) < t`` tests and stops, and top itself where
     fn(top) < t (the saturation fallback).  A midpoint depends only on the tests above it.
-    So the walk keeps the last target's path, one (fn(mid), fn(mid) < t, lo, hi) step per
-    depth, follows it while a kept value takes the same branch at the new target, reuses
-    the value where it first branches off, and calls fn only below that.  fn(top) is
-    probed once.
+    So the walk keeps the last target's path, one record per depth, and resumes it where a
+    new target first branches off: there it reuses the kept value, and it calls fn only
+    below.  fn(top) is probed once, and a NaN or -inf value raises ``InversionError``.
+
+    A record is (fn(mid), lo, hi, gt, le): the step's value and the bracket it leaves, and
+    the targets (gt, le] that take every kept branch down to it.  gt is the
+    largest kept value below the target (-inf if none) and le the smallest other one (+inf
+    if none).  These intervals are nested, so the depth at which a target branches off is
+    found by a search over the records in O(log depth).  A NaN target lies in no interval,
+    so it walks again from the root: the branch at any depth the walk resumes from is
+    taken by ``fn(mid) < t`` afresh, so a shallower depth changes no bit.
     """
 
     def __init__(self, s: ServerSpec, kind: AllocationKind, cfg: SolverConfig):
@@ -440,36 +459,59 @@ class _UserInverse:
         self.top = s.mu * (1.0 - cfg.eps_sat)
         self.resolution = cfg.resolution
         self.f_top = None
-        self.path: list[tuple[float, bool, float, float]] = []
+        self.path: list[tuple[float, float, float, float, float]] = []
 
     def __call__(self, t: float, total=None) -> float:
         """The inverse at ``t``; given ``total``, a float with the sign of total(inverse).
 
         ``total`` is non-decreasing in the inverse, which always ends inside the current
         bracket [lo, hi]: so before each call of fn the walk stops if total(lo) >= 0.0 or
-        total(hi) < 0.0.  Both saturation outcomes lie in [0, top], so fn(top) is probed
-        only once a step is needed.
+        total(hi) < 0.0, each end's total computed once.  Both saturation outcomes lie in
+        [0, top], so fn(top) is probed only once a step is needed.
         """
         lo, hi = 0.0, self.top
+        r_lo = r_hi = None  # total(lo) and total(hi), until their end moves
         if self.f_top is None:
-            if total is not None and (r := _settled(total, lo, hi)) is not None:
-                return r
-            self.f_top = self.fn(hi)
+            if total is not None:
+                if (r_lo := total(lo)) >= 0.0:
+                    return r_lo
+                if (r_hi := total(hi)) < 0.0:
+                    return r_hi
+            self.f_top = f = self.fn(hi)
+            if not f > _NEG_INF:
+                raise _bad_value(f, hi)
         if self.f_top < t:
             x = hi
         elif not hi > self.resolution:
             x = 0.5 * hi
         else:
-            path, res, depth, branch = self.path, self.resolution, 0, None
-            for f, below, lo_kept, hi_kept in path:
-                if (f < t) is not below:
-                    # the kept value at this depth sends t the other way
-                    mid = 0.5 * (lo + hi)
-                    lo, hi = (mid, hi) if f < t else (lo, mid)
-                    branch = (f, not below, lo, hi)
-                    break
-                lo, hi = lo_kept, hi_kept
-                depth += 1
+            path, res, branch = self.path, self.resolution, None
+            # The deepest record whose targets hold t, by galloping up from the deepest one
+            # and then bisecting: a new target mostly branches off a step or two above where
+            # the last one stopped.
+            m = len(path)
+            depth, b, k = 0, m + 1, m
+            while depth + 1 < b:
+                rec = path[k - 1]
+                if rec[3] < t <= rec[4]:
+                    depth = k
+                else:
+                    b = k
+                k = (depth + b) >> 1 if depth or 2 * b <= m + 1 else 2 * b - m - 1
+            # a kept path means fn(top) was probed by an earlier call, so r_lo and r_hi are None
+            if depth:
+                _, lo, hi, gt, le = path[depth - 1]
+            else:
+                gt, le = _NEG_INF, math.inf
+            if depth < m:
+                # t leaves the kept path here (a NaN t may not): its branch from the kept value
+                f = path[depth][0]
+                mid = 0.5 * (lo + hi)
+                if f < t:
+                    lo, gt = mid, f if f > gt else gt
+                else:
+                    hi, le = mid, f if f < le else le
+                branch = (f, lo, hi, gt, le)
             while True:
                 # _bisect's steps, its resolution stop moved first: the walk starts from [0, top],
                 # top > resolution, or from a step's bracket, so the same stops fire
@@ -480,20 +522,28 @@ class _UserInverse:
                 if mid <= lo or mid >= hi:
                     x = mid
                     break
-                if total is not None and (r := _settled(total, lo, hi)) is not None:
-                    return r
+                if total is not None:
+                    if r_lo is None:
+                        r_lo = total(lo)
+                    if r_lo >= 0.0:
+                        return r_lo
+                    if r_hi is None:
+                        r_hi = total(hi)
+                    if r_hi < 0.0:
+                        return r_hi
                 if branch is not None:
                     # written only now, so that a sign settled first keeps the kept path whole
                     del path[depth:]
                     path.append(branch)
                     branch = None
                 f = self.fn(mid)
-                below = f < t
-                if below:
-                    lo = mid
+                if not f > _NEG_INF:
+                    raise _bad_value(f, mid)
+                if f < t:
+                    lo, r_lo, gt = mid, None, f if f > gt else gt
                 else:
-                    hi = mid
-                path.append((f, below, lo, hi))
+                    hi, r_hi, le = mid, None, f if f < le else le
+                path.append((f, lo, hi, gt, le))
         return x if total is None else total(x)
 
 

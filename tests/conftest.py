@@ -6,6 +6,7 @@ their own ``max_examples`` keep it.
 """
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,16 @@ from taskalloc import Scenario, ServerSpec
 
 settings.register_profile("ci", derandomize=True, max_examples=500)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+# Hypothesis imports this module to report a falsifying example.  Its libcst import warns
+# (mypy_extensions' DeprecationWarning), which "filterwarnings = error" would turn into an
+# INTERNALERROR that hides the example; imported once here, it is cached without warning.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def random_server(rng: np.random.Generator) -> ServerSpec:

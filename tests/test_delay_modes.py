@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from taskalloc import (
     AllocationKind,
+    ConvergenceError,
     DelayMode,
     Scenario,
     ServerSpec,
@@ -119,3 +122,61 @@ def test_poa_under_ignoring_delays_is_not_convex():
         for k in range(len(xs) - 2):
             worst = max(worst, etas[k + 1] - 0.5 * (etas[k] + etas[k + 2]))
     assert worst > 1e-6
+
+
+@st.composite
+def closed_scenario_and_load(draw):
+    """A closed-form scenario of 1-9 servers and a load inside its stable region."""
+    servers = []
+    for _ in range(draw(st.integers(1, 9))):
+        d, mu = draw(st.floats(0.0, 0.2)), draw(st.floats(1.0, 300.0))
+        model = draw(st.sampled_from(["mm1", "md1", "mg1"]))
+        servers.append(ServerSpec.mm1(d, mu) if model == "mm1" else ServerSpec.md1(d, mu) if model == "md1"
+                       else ServerSpec.mg1(d, mu, draw(st.floats(0.01, 3.0))))
+    sc = Scenario(tuple(servers))
+    return sc, draw(st.floats(1e-3, 0.99)) * sc.load_cap
+
+
+def _optimum_loss(sc, lam):
+    """(U(p_ign) - U*, the delay spread max over supp(p_ign) of d - min over supp(p*) of d, U*)."""
+    truth = solve_under_mode(sc, lam, AllocationKind.OPTIMAL, DelayMode.WITH_DELAYS)
+    blind = solve_under_mode(sc, lam, AllocationKind.OPTIMAL, DelayMode.IGNORING_DELAYS)
+    spread = (max(s.d for s, q in zip(sc.servers, blind.result.p) if q > 0.0)
+              - min(s.d for s, q in zip(sc.servers, truth.result.p) if q > 0.0))
+    return blind.evaluated_latency - truth.evaluated_latency, spread, truth.evaluated_latency
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_scenario_and_load())
+def test_ignoring_delays_costs_the_optimum_at_most_the_delay_spread(case):
+    """U = U0 + sum p_i d_i, and p_ign minimizes the delay-free U0, so
+    U(p_ign) <= U0(p*) + sum p_ign d = U* - sum p* d + sum p_ign d:
+    0 <= U(p_ign) - U* <= max over supp(p_ign) of d - min over supp(p*) of d."""
+    sc, lam = case
+    try:
+        loss, spread, u_opt = _optimum_loss(sc, lam)
+    except ConvergenceError:
+        reject()  # a split the solver cannot resolve (ROADMAP item 6)
+    assert -1e-12 * u_opt <= loss <= spread + 1e-12 * u_opt
+
+
+def test_the_delay_spread_bound_is_nearly_attained():
+    """Blind to delays, every job goes to the fast far server; the optimum keeps them on the
+    near one, and the loss is 0.999 of the 10 s delay spread."""
+    sc = Scenario((ServerSpec.mm1(0.0, 100.0), ServerSpec.mm1(10.0, 1000.0)))
+    loss, spread, _ = _optimum_loss(sc, 1.0)
+    assert spread == 10.0
+    assert 0.9 * spread <= loss <= spread
+
+
+def test_ignoring_delays_can_lower_the_equilibrium_latency():
+    """No such bound holds for the equilibrium: blind to delays, the selfish split spreads
+    over both servers and lands nearer the optimum than the true equilibrium, which keeps
+    every job on the near server (0.25 s against 0.2285 s)."""
+    sc = Scenario((ServerSpec.mm1(0.0, 20.0), ServerSpec.mm1(0.2, 5.0)))
+    truth = solve_under_mode(sc, 16.0, AllocationKind.NEP, DelayMode.WITH_DELAYS)
+    blind = solve_under_mode(sc, 16.0, AllocationKind.NEP, DelayMode.IGNORING_DELAYS)
+    assert truth.evaluated_latency == pytest.approx(0.25, rel=1e-12)
+    assert list(blind.result.p) == pytest.approx([15.5 / 16.0, 0.5 / 16.0], rel=1e-9)
+    assert blind.evaluated_latency == pytest.approx((15.5 / 4.5 + 0.5 * (0.2 + 1.0 / 4.5)) / 16.0, rel=1e-9)
+    assert blind.evaluated_latency < truth.evaluated_latency - 0.02
