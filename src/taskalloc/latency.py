@@ -244,18 +244,25 @@ def closed_invert_marginal(s: ServerSpec, target, sqrt=math.sqrt):
 
 
 def _bisect_rate(fn, target: float, hi: float, resolution: float) -> float:
-    """Solve fn(x) = target for increasing fn on [0, hi] by ``_bisect``'s steps.
-
-    A NaN or -inf value of fn raises ``InversionError``: it would steer the bisection.
-    """
-    f, floor = fn(hi), -math.inf
-    if not f > floor:
+    """Solve fn(x) = target for increasing fn on [0, hi] by bisection."""
+    f = fn(hi)
+    if not f > -math.inf:
         raise _bad_value(f, hi)
     if f < target:
         raise SaturationError(f"target {target} exceeds the model's value {f} at the saturation guard")
-    if not hi > resolution:
-        return 0.5 * hi
-    lo = 0.0
+    return _bisect(fn, target, 0.0, hi, resolution) if hi > resolution else 0.5 * hi
+
+
+def _bad_value(f: float, x: float) -> InversionError:
+    return InversionError(f"the curve being inverted is {f} at x = {x!r}; it must be a number above -inf")
+
+
+def _bisect(fn, target: float, lo: float, hi: float, resolution: float) -> float:
+    """Root of fn(x) = target for increasing fn on [lo, hi], to ``resolution`` or the last bit.
+
+    A NaN or -inf value of fn raises ``InversionError``: it would steer the bisection.
+    """
+    floor = -math.inf
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -264,28 +271,6 @@ def _bisect_rate(fn, target: float, hi: float, resolution: float) -> float:
         if not f > floor:
             raise _bad_value(f, mid)
         if f < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= resolution:
-            return 0.5 * (lo + hi)
-
-
-def _bad_value(f: float, x: float) -> InversionError:
-    return InversionError(f"a user curve is {f} at rate {x!r}; it must be a number above -inf")
-
-
-def _bisect(fn, target: float, lo: float, hi: float, resolution: float) -> float:
-    """Root of fn(x) = target for increasing fn on [lo, hi], to ``resolution`` or the last bit.
-
-    The multiplier's bisection; ``_bisect_rate`` takes the same steps on a user curve and
-    checks each value it reads.
-    """
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return mid
-        if fn(mid) < target:
             lo = mid
         else:
             hi = mid

@@ -445,7 +445,7 @@ class _UserInverse:
     the targets (gt, le] that take every kept branch down to it.  gt is the
     largest kept value below the target (-inf if none) and le the smallest other one (+inf
     if none).  These intervals are nested, so the depth at which a target branches off is
-    found by a search over the records in O(log depth).  A NaN target lies in no interval,
+    found by bisection over the records in O(log depth).  A NaN target lies in no interval,
     so it walks again from the root: the branch at any depth the walk resumes from is
     taken by ``fn(mid) < t`` afresh, so a shallower depth changes no bit.
     """
@@ -486,18 +486,16 @@ class _UserInverse:
             x = 0.5 * hi
         else:
             path, res, branch = self.path, self.resolution, None
-            # The deepest record whose targets hold t, by galloping up from the deepest one
-            # and then bisecting: a new target mostly branches off a step or two above where
-            # the last one stopped.
+            # the deepest record whose targets hold t, by bisection over the nested intervals
             m = len(path)
-            depth, b, k = 0, m + 1, m
+            depth, b = 0, m + 1
             while depth + 1 < b:
+                k = (depth + b) >> 1
                 rec = path[k - 1]
                 if rec[3] < t <= rec[4]:
                     depth = k
                 else:
                     b = k
-                k = (depth + b) >> 1 if depth or 2 * b <= m + 1 else 2 * b - m - 1
             # a kept path means fn(top) was probed by an earlier call, so r_lo and r_hi are None
             if depth:
                 _, lo, hi, gt, le = path[depth - 1]

@@ -582,11 +582,11 @@ def test_a_nan_or_minus_inf_from_a_user_curve_raises(bad):
                                   lambda x: 1.0 / (2.0 - x) ** 2 if x <= 1.0 else bad)
     sc = Scenario((g, ServerSpec.mm1(0.15, 5.0)))
     for solve in (solve_nep, solve_optimal):
-        with pytest.raises(InversionError, match="a user curve is .* at rate"):
+        with pytest.raises(InversionError, match="the curve being inverted is .* at x = "):
             solve(sc, 4.0)
-    with pytest.raises(InversionError, match="a user curve is .* at rate"):
+    with pytest.raises(InversionError, match="the curve being inverted is .* at x = "):
         invert_latency(g, 2.0)  # the true inverse, 1.47, lies where the curve is not a number
-    with pytest.raises(InversionError, match="a user curve is .* at rate"):
+    with pytest.raises(InversionError, match="the curve being inverted is .* at x = "):
         invert_marginal(g, 2.0)
     # +inf orders above every target: the answer is the walk's, as before
     inf_above = ServerSpec.from_functions(0.1, 2.0, lambda x: 0.1 + 1.0 / (2.0 - x) if x <= 1.5 else math.inf,
@@ -600,9 +600,9 @@ def test_a_nan_read_inside_the_bisection_raises():
     """NaN only on (1.2, 1.3): fn(top) is a number, and the bisection meets the NaN."""
     g = ServerSpec.from_functions(0.1, 2.0, lambda x: math.nan if 1.2 < x < 1.3 else 0.1 + 1.0 / (2.0 - x),
                                   lambda x: 1.0 / (2.0 - x) ** 2)
-    with pytest.raises(InversionError, match=r"a user curve is nan at rate 1\.24999999875"):
+    with pytest.raises(InversionError, match=r"the curve being inverted is nan at x = 1\.24999999875"):
         invert_latency(g, 1.5)
-    with pytest.raises(InversionError, match=r"a user curve is nan at rate 1\.24999999875"):
+    with pytest.raises(InversionError, match=r"the curve being inverted is nan at x = 1\.24999999875"):
         solve_nep(Scenario((g, ServerSpec.mm1(0.15, 5.0))), 5.0)
 
 
