@@ -15,8 +15,13 @@ l(0) = d + 1/mu (``z0``) once, at construction.  The marginal cost
 
 is the quantity equalized across active servers at the socially optimal
 split.  Both functions are strictly increasing and convex on [0, mu) and
-are inverted in closed form.  User-supplied models are inverted by bisection,
-to ``resolution`` or to the last bit of the rate, whichever is coarser.
+are inverted in closed form.
+
+A user-supplied curve is bisected on [0, mu (1 - eps_sat)], to ``resolution``
+or to the last bit of the rate, whichever is coarser, by a ``_UserInverse``
+walker: a public inverse walks a fresh one once, and a solve keeps one per
+user curve, which resumes each walk where the new target leaves the last
+one's path and walks only until the sign the solve asks for is settled.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .errors import DomainError, InversionError, SaturationError
 
 EPS_SAT = 1e-9  # evaluations are kept at or below mu * (1 - EPS_SAT)
 DEFAULT_RESOLUTION = 1e-12  # rate-axis resolution of numeric inversions
+_NEG_INF = -math.inf
 
 
 class QueueModel(str, Enum):
@@ -177,8 +183,7 @@ def invert_latency(
     if target <= s.z0:
         raise DomainError(f"target {target} not above the zero-load latency {s.z0}")
     if s.model is _GENERIC:
-        _check_settings(resolution, eps_sat)
-        return _bisect_rate(s.generic.latency_fn, target, s.mu * (1.0 - eps_sat), resolution)
+        return _invert_user(s, False, target, resolution, eps_sat)
     return closed_invert_latency(s, target)
 
 
@@ -195,10 +200,7 @@ def invert_marginal(
     if target <= s.z0:
         raise DomainError(f"target {target} not above the zero-load marginal cost {s.z0}")
     if s.model is _GENERIC:
-        _check_settings(resolution, eps_sat)
-        fn = s.generic.latency_fn
-        fd = s.generic.derivative_fn
-        return _bisect_rate(lambda x: fn(x) + x * fd(x), target, s.mu * (1.0 - eps_sat), resolution)
+        return _invert_user(s, True, target, resolution, eps_sat)
     return closed_invert_marginal(s, target)
 
 
@@ -243,36 +245,132 @@ def closed_invert_marginal(s: ServerSpec, target, sqrt=math.sqrt):
     return s.mu * (1.0 - 1.0 / sqrt(1.0 + w / s.a))
 
 
-def _bisect_rate(fn, target: float, hi: float, resolution: float) -> float:
-    """Solve fn(x) = target for increasing fn on [0, hi] by bisection."""
-    f = fn(hi)
-    if not f > -math.inf:
-        raise _bad_value(f, hi)
-    if f < target:
-        raise SaturationError(f"target {target} exceeds the model's value {f} at the saturation guard")
-    return _bisect(fn, target, 0.0, hi, resolution) if hi > resolution else 0.5 * hi
+def _user_inverse(s: ServerSpec, marginal: bool, resolution: float, eps_sat: float) -> _UserInverse:
+    """A fresh walker over the user curve of ``s``: l, or h(x) = l(x) + x l'(x) if ``marginal``."""
+    l, dl = s.generic.latency_fn, s.generic.derivative_fn
+    fn = (lambda x: l(x) + x * dl(x)) if marginal else l
+    return _UserInverse(fn, s.mu * (1.0 - eps_sat), resolution)
+
+
+def _invert_user(s: ServerSpec, marginal: bool, target: float, resolution: float, eps_sat: float) -> float:
+    """One walk to ``target`` on the user curve of ``s``; SaturationError where fn(top) < target."""
+    _check_settings(resolution, eps_sat)
+    walker = _user_inverse(s, marginal, resolution, eps_sat)
+    x = walker(target)
+    if walker.f_top < target:
+        raise SaturationError(f"target {target} exceeds the model's value {walker.f_top} at the saturation guard")
+    return x
 
 
 def _bad_value(f: float, x: float) -> InversionError:
     return InversionError(f"the curve being inverted is {f} at x = {x!r}; it must be a number above -inf")
 
 
-def _bisect(fn, target: float, lo: float, hi: float, resolution: float) -> float:
-    """Root of fn(x) = target for increasing fn on [lo, hi], to ``resolution`` or the last bit.
+class _UserInverse:
+    """Inverse of an increasing curve ``fn`` on [0, top], by bisection; each call is one walk.
 
-    A NaN or -inf value of fn raises ``InversionError``: it would steer the bisection.
+    A walk bisects [0, top] to ``resolution`` or to adjacent floats: its midpoints, its
+    ``fn(mid) < t`` tests, its stops, and top itself where fn(top) < t (the saturation
+    fallback), or 0.5 top where top <= resolution.  A midpoint depends only on the tests
+    above it.  So the walker keeps the last target's path, one record per depth, and resumes
+    it where a new target first branches off: there it reuses the kept value, and it calls fn
+    only below.  fn(top) is probed once, and a NaN or -inf value raises ``InversionError``.
+
+    A record is (fn(mid), lo, hi, gt, le): the step's value and the bracket it leaves, and
+    the targets (gt, le] that take every kept branch down to it.  gt is the
+    largest kept value below the target (-inf if none) and le the smallest other one (+inf
+    if none).  These intervals are nested, so the depth at which a target branches off is
+    found by bisection over the records in O(log depth).  A NaN target lies in no interval,
+    so it walks again from the root: the branch at any depth the walk resumes from is
+    taken by ``fn(mid) < t`` afresh, so a shallower depth changes no bit.
     """
-    floor = -math.inf
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return mid
-        f = fn(mid)
-        if not f > floor:
-            raise _bad_value(f, mid)
-        if f < target:
-            lo = mid
+
+    def __init__(self, fn: Callable[[float], float], top: float, resolution: float):
+        self.fn = fn
+        self.top = top
+        self.resolution = resolution
+        self.f_top = None
+        self.path: list[tuple[float, float, float, float, float]] = []
+
+    def __call__(self, t: float, total=None) -> float:
+        """The inverse at ``t``; given ``total``, a float with the sign of total(inverse).
+
+        ``total`` is non-decreasing in the inverse, which always ends inside the current
+        bracket [lo, hi]: so before each call of fn the walk stops if total(lo) >= 0.0 or
+        total(hi) < 0.0, each end's total computed once.  Both saturation outcomes lie in
+        [0, top], so fn(top) is probed only once a step is needed.
+        """
+        lo, hi = 0.0, self.top
+        r_lo = r_hi = None  # total(lo) and total(hi), until their end moves
+        if self.f_top is None:
+            if total is not None:
+                if (r_lo := total(lo)) >= 0.0:
+                    return r_lo
+                if (r_hi := total(hi)) < 0.0:
+                    return r_hi
+            self.f_top = f = self.fn(hi)
+            if not f > _NEG_INF:
+                raise _bad_value(f, hi)
+        if self.f_top < t:
+            x = hi
+        elif not hi > self.resolution:
+            x = 0.5 * hi
         else:
-            hi = mid
-        if hi - lo <= resolution:
-            return 0.5 * (lo + hi)
+            path, res, branch = self.path, self.resolution, None
+            # the deepest record whose targets hold t, by bisection over the nested intervals
+            m = len(path)
+            depth, b = 0, m + 1
+            while depth + 1 < b:
+                k = (depth + b) >> 1
+                rec = path[k - 1]
+                if rec[3] < t <= rec[4]:
+                    depth = k
+                else:
+                    b = k
+            # a kept path means fn(top) was probed by an earlier call, so r_lo and r_hi are None
+            if depth:
+                _, lo, hi, gt, le = path[depth - 1]
+            else:
+                gt, le = _NEG_INF, math.inf
+            if depth < m:
+                # t leaves the kept path here (a NaN t may not): its branch from the kept value
+                f = path[depth][0]
+                mid = 0.5 * (lo + hi)
+                if f < t:
+                    lo, gt = mid, f if f > gt else gt
+                else:
+                    hi, le = mid, f if f < le else le
+                branch = (f, lo, hi, gt, le)
+            while True:
+                # the walk starts from [0, top], top > resolution, or from a step's bracket,
+                # so testing the resolution before the midpoint stops where testing it after does
+                if hi - lo <= res:
+                    x = 0.5 * (lo + hi)
+                    break
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    x = mid
+                    break
+                if total is not None:
+                    if r_lo is None:
+                        r_lo = total(lo)
+                    if r_lo >= 0.0:
+                        return r_lo
+                    if r_hi is None:
+                        r_hi = total(hi)
+                    if r_hi < 0.0:
+                        return r_hi
+                if branch is not None:
+                    # written only now, so that a sign settled first keeps the kept path whole
+                    del path[depth:]
+                    path.append(branch)
+                    branch = None
+                f = self.fn(mid)
+                if not f > _NEG_INF:
+                    raise _bad_value(f, mid)
+                if f < t:
+                    lo, r_lo, gt = mid, None, f if f > gt else gt
+                else:
+                    hi, r_hi, le = mid, None, f if f < le else le
+                path.append((f, lo, hi, gt, le))
+        return x if total is None else total(x)

@@ -168,8 +168,6 @@ def _routed_jobs(p: tuple[float, ...], n_jobs: int, rng: np.random.Generator):
 
     q = np.asarray(p)
     cdf = (q / q.sum()).cumsum()
-    if np.isnan(cdf[-1]):
-        raise ValueError("Probabilities contain NaN")  # choice's check and message
     cdf /= cdf[-1]
     u = rng.random(n_jobs)
     below_prev = np.zeros(n_jobs, dtype=bool)

@@ -16,7 +16,9 @@ Both reduce to a one-dimensional root find for the common multiplier
 per-server inverse curves evaluated at the multiplier must add up to
 lam.  Servers activate one by one as the load grows; the activation
 thresholds are computed in closed form by inverting the curves of the
-already-active servers at the next server's zero-load latency.
+already-active servers at the next server's zero-load latency.  The
+threshold table inverts server by server through ``_invert_or_zero``,
+that is through ``latency.invert_*``, for every kind of curve.
 
 A ``Scenario`` derives what its servers and config fix once, at
 construction: the activation order, the total service rate, the load cap
@@ -26,8 +28,8 @@ hash or repr, and ``dataclasses.replace`` derives them afresh.
 A single solve calls ``latency.closed_invert_*`` directly for each active
 closed-form server in the multiplier bisection, the Newton polish and the
 final rates, 0.0 at or below its zero-load latency, bit for bit as
-``_invert_or_zero``, which a generic server goes through.  Its sums over
-servers are plain loops in activation order from 0.0 (the additions of
+``_invert_or_zero``; a user curve goes through its walker (below).  Its
+sums over servers are plain loops in activation order from 0.0 (the additions of
 the builtin ``sum`` on Python 3.11), and the split and mean latency are
 built from Python floats.
 The total service rate is a plain loop in server order for the same
@@ -42,17 +44,12 @@ then M/D/1 and M/G/1 rows), with mu, d and a as columns fed to
 ``latency.closed_*``.  Its sums over servers add the rows in activation
 order from 0.0, as the single solve's loops add servers, so every slot
 is bit-identical to ``_solve``.
-The threshold table still inverts server by server through
-``_invert_or_zero``.
 
 With a user curve among the active servers, each user curve gets one
-``_UserInverse`` for the whole solve, and every inversion of it in the
-solve goes through that walker: the bracket's low end, the doubling of
-its high end, the multiplier bisection and the final rates.  The walker
-bisects on the tree of midpoints that ``_invert_or_zero`` walks, keeps
-the path of the previous target, and resumes it at the depth where a new
-target branches off, reusing fn(mid) wherever the midpoint is the same
-float.  ``_settled_remaining`` gives the bracket and the bisection the
+``latency._UserInverse`` walker for the whole solve, and every inversion
+of it in the solve goes through that walker: the bracket's low end, the
+doubling of its high end, the multiplier bisection and the final rates.
+``_settled_remaining`` gives the bracket and the bisection the
 sign of ``remaining(t)`` with the same bits while calling the curves far
 less: the last user curve in activation order is walked only until its
 bracket settles the sign, that is until the in-order sum with the
@@ -61,7 +58,6 @@ ends inside the bracket, and rounded additions are monotone, so that is
 the sign of the full sum.  The low end asks only whether remaining(lo) >
 0.0, which the same walk settles once totals <= 0.0 read as -1.0.  The
 final rates follow the path the bisection left, bit for bit
-``_invert_or_zero``.  The threshold table still inverts through
 ``_invert_or_zero``.
 
 numpy is imported at first use, by the lockstep solve and by ``average_latency``
@@ -84,8 +80,8 @@ from .latency import (
     QueueModel,
     ServerSpec,
     _bad_value,
-    _bisect,
     _check_settings,
+    _user_inverse,
     closed_invert_latency,
     closed_invert_marginal,
     closed_latency,
@@ -99,7 +95,6 @@ from .latency import (
 )
 
 SIMPLEX_TOL = 1e-9  # largest |sum(p) - 1| accepted for a split
-_NEG_INF = -math.inf
 
 
 class AllocationKind(str, Enum):
@@ -384,25 +379,42 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
 
 
 def _bisect_multiplier(residual, lo: float, hi: float, resolution: float) -> float:
-    """Root of an increasing residual on [lo, hi], to absolute/ulp resolution."""
+    """Root of an increasing residual on [lo, hi], to ``resolution`` or the last bit; a NaN
+    or -inf residual, which would steer the bisection, raises ``InversionError``."""
     # residual(hi) < 0 can only happen through rounding at an exact threshold load
-    return hi if residual(hi) < 0.0 else _bisect(residual, 0.0, lo, hi, resolution)
+    if residual(hi) < 0.0:
+        return hi
+    floor = -math.inf
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        f = residual(mid)
+        if not f > floor:
+            raise _bad_value(f, mid)
+        if f < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= resolution:
+            return 0.5 * (lo + hi)
 
 
 def _settled_remaining(active: list[ServerSpec], kind: AllocationKind, lam: float, cfg: SolverConfig):
     """(residual, rates) for ``_solve`` on ``active``, the active servers in activation order,
     at least one with a user curve.
 
-    Each user curve is inverted by one ``_UserInverse`` kept for the whole solve, and both
+    Each user curve is inverted by one ``latency._UserInverse`` kept for the whole solve, and both
     functions go through it.  residual(t) has the sign of ``_solve``'s remaining(t), the
     in-order sum of ``_invert_or_zero`` minus the load, at every target: the last user curve
     is walked only until the sum, with its inverse as the one term still open, settles the
     sign.  residual(t, strict=True) is >= 0.0 exactly where remaining(t) > 0.0.  rates(t)
     is each server's ``_invert_or_zero`` at t, bit for bit.
     """
-    closed_inv = closed_invert_marginal if kind is AllocationKind.OPTIMAL else closed_invert_latency
-    inverses = [(s.z0, _UserInverse(s, kind, cfg) if s.model is QueueModel.GENERIC else partial(closed_inv, s))
-                for s in active]
+    optimal = kind is AllocationKind.OPTIMAL
+    closed_inv = closed_invert_marginal if optimal else closed_invert_latency
+    inverses = [(s.z0, _user_inverse(s, optimal, cfg.resolution, cfg.eps_sat) if s.model is QueueModel.GENERIC
+                 else partial(closed_inv, s)) for s in active]
     last = max(k for k, s in enumerate(active) if s.model is QueueModel.GENERIC)
     head, (z_open, open_inverse), tail = inverses[:last], inverses[last], inverses[last + 1:]
 
@@ -429,120 +441,6 @@ def _settled_remaining(active: list[ServerSpec], kind: AllocationKind, lam: floa
         return [0.0 if t <= z0 else inv(t) for z0, inv in inverses]
 
     return residual, rates
-
-
-class _UserInverse:
-    """``_invert_or_zero`` of one user curve at targets above its zero-load latency, within one solve.
-
-    It bisects as ``latency._bisect_rate`` does: the same midpoints on [0, top], top =
-    mu (1 - eps_sat), the same ``fn(mid) < t`` tests and stops, and top itself where
-    fn(top) < t (the saturation fallback).  A midpoint depends only on the tests above it.
-    So the walk keeps the last target's path, one record per depth, and resumes it where a
-    new target first branches off: there it reuses the kept value, and it calls fn only
-    below.  fn(top) is probed once, and a NaN or -inf value raises ``InversionError``.
-
-    A record is (fn(mid), lo, hi, gt, le): the step's value and the bracket it leaves, and
-    the targets (gt, le] that take every kept branch down to it.  gt is the
-    largest kept value below the target (-inf if none) and le the smallest other one (+inf
-    if none).  These intervals are nested, so the depth at which a target branches off is
-    found by bisection over the records in O(log depth).  A NaN target lies in no interval,
-    so it walks again from the root: the branch at any depth the walk resumes from is
-    taken by ``fn(mid) < t`` afresh, so a shallower depth changes no bit.
-    """
-
-    def __init__(self, s: ServerSpec, kind: AllocationKind, cfg: SolverConfig):
-        fn = s.generic.latency_fn
-        if kind is AllocationKind.OPTIMAL:
-            fd = s.generic.derivative_fn
-            fn = lambda x, fn=fn: fn(x) + x * fd(x)  # invert_marginal's curve
-        self.fn = fn
-        self.top = s.mu * (1.0 - cfg.eps_sat)
-        self.resolution = cfg.resolution
-        self.f_top = None
-        self.path: list[tuple[float, float, float, float, float]] = []
-
-    def __call__(self, t: float, total=None) -> float:
-        """The inverse at ``t``; given ``total``, a float with the sign of total(inverse).
-
-        ``total`` is non-decreasing in the inverse, which always ends inside the current
-        bracket [lo, hi]: so before each call of fn the walk stops if total(lo) >= 0.0 or
-        total(hi) < 0.0, each end's total computed once.  Both saturation outcomes lie in
-        [0, top], so fn(top) is probed only once a step is needed.
-        """
-        lo, hi = 0.0, self.top
-        r_lo = r_hi = None  # total(lo) and total(hi), until their end moves
-        if self.f_top is None:
-            if total is not None:
-                if (r_lo := total(lo)) >= 0.0:
-                    return r_lo
-                if (r_hi := total(hi)) < 0.0:
-                    return r_hi
-            self.f_top = f = self.fn(hi)
-            if not f > _NEG_INF:
-                raise _bad_value(f, hi)
-        if self.f_top < t:
-            x = hi
-        elif not hi > self.resolution:
-            x = 0.5 * hi
-        else:
-            path, res, branch = self.path, self.resolution, None
-            # the deepest record whose targets hold t, by bisection over the nested intervals
-            m = len(path)
-            depth, b = 0, m + 1
-            while depth + 1 < b:
-                k = (depth + b) >> 1
-                rec = path[k - 1]
-                if rec[3] < t <= rec[4]:
-                    depth = k
-                else:
-                    b = k
-            # a kept path means fn(top) was probed by an earlier call, so r_lo and r_hi are None
-            if depth:
-                _, lo, hi, gt, le = path[depth - 1]
-            else:
-                gt, le = _NEG_INF, math.inf
-            if depth < m:
-                # t leaves the kept path here (a NaN t may not): its branch from the kept value
-                f = path[depth][0]
-                mid = 0.5 * (lo + hi)
-                if f < t:
-                    lo, gt = mid, f if f > gt else gt
-                else:
-                    hi, le = mid, f if f < le else le
-                branch = (f, lo, hi, gt, le)
-            while True:
-                # _bisect's steps, its resolution stop moved first: the walk starts from [0, top],
-                # top > resolution, or from a step's bracket, so the same stops fire
-                if hi - lo <= res:
-                    x = 0.5 * (lo + hi)
-                    break
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    x = mid
-                    break
-                if total is not None:
-                    if r_lo is None:
-                        r_lo = total(lo)
-                    if r_lo >= 0.0:
-                        return r_lo
-                    if r_hi is None:
-                        r_hi = total(hi)
-                    if r_hi < 0.0:
-                        return r_hi
-                if branch is not None:
-                    # written only now, so that a sign settled first keeps the kept path whole
-                    del path[depth:]
-                    path.append(branch)
-                    branch = None
-                f = self.fn(mid)
-                if not f > _NEG_INF:
-                    raise _bad_value(f, mid)
-                if f < t:
-                    lo, r_lo, gt = mid, None, f if f > gt else gt
-                else:
-                    hi, r_hi, le = mid, None, f if f < le else le
-                path.append((f, lo, hi, gt, le))
-        return x if total is None else total(x)
 
 
 def solve_lockstep(sc: Scenario, lams: np.ndarray):
@@ -650,7 +548,7 @@ def _lockstep_active(servers, lam, j, n_opt, cfg):
     shift = remaining(lo, every) > 0.0
     lo[shift] = last[shift]
 
-    # _bisect_multiplier and its latency._bisect, each slot stopping at its own return;
+    # _bisect_multiplier's loop, each slot stopping at its own return;
     # the slots' state is compacted on the steps where one stops
     mult = np.empty(lam.size)
     top = remaining(hi, every) < 0.0

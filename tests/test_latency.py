@@ -20,7 +20,8 @@ from taskalloc import (
     marginal_cost,
     zero_load_latency,
 )
-from taskalloc.latency import _bisect, _bisect_rate
+from taskalloc.latency import EPS_SAT, _UserInverse
+from taskalloc.solver import _bisect_multiplier
 
 from conftest import random_server
 
@@ -186,7 +187,7 @@ def test_generic_matches_closed_form():
 
 
 def _bisect_rate_loop(fn, target, hi, resolution):
-    """The loop ``_bisect_rate`` ran on its own before it shared ``_bisect``.
+    """The loop that once inverted user curves on [0, hi], for reference.
 
     It has no adjacent-float exit, so it never ends once the bracket's
     float spacing exceeds ``resolution``.
@@ -222,13 +223,12 @@ def increasing_curve(draw):
 @settings(max_examples=300, deadline=None, database=None)
 @given(increasing_curve(), st.floats(-12.0, math.log10(0.5)))
 def test_bisect_keeps_the_bits_of_the_rate_loop(curve, log_resolution):
-    # for hi <= 8e3 the float spacing stays below 1e-12, so the stand-alone loop ends
+    # for hi <= 8e3 the float spacing stays below 1e-12, so the stand-alone loop ends;
+    # where hi <= resolution both return 0.5 * hi without bisecting
     fn, target, hi = curve
     resolution = 10.0 ** log_resolution
     expected = _bisect_rate_loop(fn, target, hi, resolution).hex()
-    assert _bisect_rate(fn, target, hi, resolution).hex() == expected
-    if hi > resolution:  # below it _bisect_rate returns 0.5 * hi without bisecting
-        assert _bisect(fn, target, 0.0, hi, resolution).hex() == expected
+    assert _UserInverse(fn, hi, resolution)(target).hex() == expected
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -236,10 +236,30 @@ def test_bisect_keeps_the_bits_of_the_rate_loop(curve, log_resolution):
 def test_bisect_at_zero_resolution_ends_on_adjacent_floats(curve):
     fn, target, hi = curve
     assume(fn(0.0) < target)
-    x = _bisect(fn, target, 0.0, hi, 0.0)
-    below = math.nextafter(x, -math.inf) if x > 0.0 else 0.0
-    # x is the lower end (fn(x) < target) or the upper end (fn(x) >= target) of the last bracket
-    assert fn(below) < target <= fn(math.nextafter(x, math.inf))
+    for x in (_UserInverse(fn, hi, 0.0)(target), _bisect_multiplier(lambda x: fn(x) - target, 0.0, hi, 0.0)):
+        below = math.nextafter(x, -math.inf) if x > 0.0 else 0.0
+        # x is the lower end (fn(x) < target) or the upper end (fn(x) >= target) of the last bracket
+        assert fn(below) < target <= fn(math.nextafter(x, math.inf))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.floats(0.0, 0.2), st.floats(1.0, 8e3), st.floats(1.1, 3.0), st.floats(0.0, 1.0),
+       st.floats(-12.0, 0.0), st.booleans())
+def test_public_inversion_calls_as_the_loop_plus_one_probe(d, mu, k, u, log_resolution, marginal):
+    """One probe of fn(top), then the reference loop's rates in its order, and its bits."""
+    s = power_server(d, mu, k)
+    calls = []
+    fn = s.generic.latency_fn
+    counted = ServerSpec.from_functions(d, mu, lambda x: calls.append(x) or fn(x), s.generic.derivative_fn)
+    curve, invert = (marginal_cost, invert_marginal) if marginal else (latency, invert_latency)
+    top = mu * (1.0 - EPS_SAT)
+    target = curve(s, u * top)
+    assume(target > s.z0)
+    resolution = 10.0 ** log_resolution
+    steps = []
+    expected = _bisect_rate_loop(lambda x: steps.append(x) or curve(s, x), target, top, resolution)
+    assert invert(counted, target, resolution).hex() == expected.hex()
+    assert calls == [top] + steps
 
 
 @pytest.mark.parametrize("bad", [

@@ -84,8 +84,12 @@ _open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 def _server(draw):
     if draw(st.booleans()):
         d = draw(st.floats(0.0, allow_infinity=False))
-    else:  # a delay that is written as d_s
-        d = draw(st.floats(0.0, 1e3).filter(lambda d: d * 1000.0 / 1000.0 != d))
+    else:  # a delay that is written as d_s, found in under 128 steps down from a normal float:
+        # with a significand in [1.024, 2), d * 1000 drops 10 bits, and one in 128 consecutive
+        # significands drops exactly half its last kept bit, 0.512 ulp of d after dividing by 1000
+        d = math.ldexp(draw(st.floats(1.025, 2.0, exclude_max=True)), draw(st.integers(-1022, 9)))
+        while d * 1000.0 / 1000.0 == d:
+            d = math.nextafter(d, 0.0)
     mu = draw(_positive)
     model = draw(st.sampled_from([QueueModel.MM1, QueueModel.MD1, QueueModel.MG1]))
     cv = {QueueModel.MM1: 1.0, QueueModel.MD1: 0.0}.get(model)
@@ -97,9 +101,11 @@ def _server(draw):
 @st.composite
 def _sweep(draw):
     if draw(st.booleans()):
-        grid = draw(st.lists(_positive, min_size=1, unique=True))
-        return SweepSpec(grid=tuple(sorted(grid)))
-    rho_min, rho_max = sorted(draw(st.lists(_open_unit, min_size=2, max_size=2, unique=True)))
+        return SweepSpec(grid=tuple(sorted(set(draw(st.lists(_positive, min_size=1))))))
+    rho_min, rho_max = sorted((draw(_open_unit), draw(_open_unit)))
+    if rho_min == rho_max:  # part them toward the side with room; (0, 1) holds a float on one side
+        rho_min, rho_max = ((rho_min, math.nextafter(rho_max, 1.0)) if rho_max < 0.5
+                            else (math.nextafter(rho_min, 0.0), rho_max))
     return SweepSpec(count=draw(st.integers(2, 10**6)), rho_min=rho_min, rho_max=rho_max)
 
 

@@ -29,8 +29,8 @@ from taskalloc import (
     sort_servers,
     zero_load_latency,
 )
-from taskalloc.latency import closed_invert_latency, closed_invert_marginal
-from taskalloc.solver import _invert_or_zero, _settled_remaining, _solve, _UserInverse
+from taskalloc.latency import _UserInverse, closed_invert_latency, closed_invert_marginal
+from taskalloc.solver import _invert_or_zero, _settled_remaining, _solve
 
 from conftest import random_loads, random_scenario
 from test_latency import as_generic, power_server
@@ -535,6 +535,12 @@ def user_curve_and_targets(draw):
                                                 max_size=len(targets)))
 
 
+def _walker(s: ServerSpec, kind: AllocationKind, cfg: SolverConfig) -> _UserInverse:
+    """A fresh walker over the curve of ``s`` that ``kind`` inverts, as a solve makes it."""
+    curve = marginal_cost if kind is AllocationKind.OPTIMAL else latency
+    return _UserInverse(lambda x: curve(s, x), s.mu * (1.0 - cfg.eps_sat), cfg.resolution)
+
+
 @settings(max_examples=300, deadline=None)
 @given(user_curve_and_targets())
 def test_one_walker_inverts_a_target_sequence_as_invert_or_zero(case):
@@ -544,7 +550,7 @@ def test_one_walker_inverts_a_target_sequence_as_invert_or_zero(case):
     asks it, which stops walks early and must leave the next answers unchanged.
     """
     s, kind, cfg, targets, cuts = case
-    walker = _UserInverse(s, kind, cfg)
+    walker = _walker(s, kind, cfg)
     for t, cut in zip(targets, cuts):
         expected = _invert_or_zero(s, kind, t, cfg)
         if not t <= s.z0:  # _solve's guard; a NaN target passes it
@@ -559,7 +565,7 @@ def test_a_nan_target_keeps_the_all_left_path():
     cfg = SolverConfig()
     for kind in AllocationKind:
         s = power_server(0.05, 20.0)
-        walker = _UserInverse(s, kind, cfg)
+        walker = _walker(s, kind, cfg)
         hi = s.mu * (1.0 - cfg.eps_sat)
         while hi > cfg.resolution:
             hi *= 0.5
