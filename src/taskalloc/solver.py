@@ -38,12 +38,11 @@ the bits would depend on the interpreter version.
 
 A sweep of a closed-form scenario solves both kinds at every load of its
 grid in one lockstep pass (``solve_lockstep``).  Each (kind, load) pair
-is a slot, and each step evaluates every server at every slot as one
-servers × slots array: servers are rows, grouped by formula (M/M/1 rows,
-then M/D/1 and M/G/1 rows), with mu, d and a as columns fed to
-``latency.closed_*``.  Its sums over servers add the rows in activation
-order from 0.0, as the single solve's loops add servers, so every slot
-is bit-identical to ``_solve``.
+is a slot, and every step evaluates every server at every slot as one
+servers × slots array, summed over servers in activation order from 0.0,
+so every slot is bit-identical to ``_solve``.  A mask, ``live``, marks the
+slots still in the bisection or the polish, and the slots with one active
+server are written last.
 
 With a user curve among the active servers, each user curve gets one
 ``latency._UserInverse`` walker for the whole solve, and every inversion
@@ -453,48 +452,28 @@ def solve_lockstep(sc: Scenario, lams: np.ndarray):
     and a as columns of ``latency.closed_*``.  Sums over servers add the
     rows in activation order and an exact 0.0 for a server that is idle or
     inactive in that slot, so a slot's multiplier, mean latency and active
-    count are bit-identical to ``_solve``'s.
+    count are bit-identical to ``_solve``'s.  Every slot is stepped: the
+    bracket's growth, the bisection and the polish each carry a mask,
+    ``live``, of the slots that have not yet left that loop, and only live
+    slots are flagged.  The j = 1 slots are written last, from the closed forms.
 
     Returns one tuple of arrays (multiplier, mean_latency, active_count, ok)
     per kind, the optimum's first.  ``ok`` is False where ``_solve`` raises
     or might raise: loads outside (0, load_cap], a failed bracket, a rate
     outside a server's stable region, a non-finite value or a split near
-    the simplex tolerance.  Solve those loads per point.
+    the simplex tolerance.  Solve those loads per point; their multiplier
+    and mean latency mean nothing.
     """
     import numpy as np
 
     tables = [activation_thresholds(sc, kind) for kind in (AllocationKind.OPTIMAL, AllocationKind.NEP)]
     servers = [sc.servers[i] for i in tables[0].order]
-    s = servers[0]
-    m = lams.size
+    n, m = len(servers), lams.size
     lam = np.concatenate((lams, lams))
     # strict comparison, as in _solve
     j = np.concatenate([np.count_nonzero(np.asarray(t.loads)[None, :] < lams[:, None], axis=1)
                         for t in tables])
-    ok = (lam > 0.0) & (lam <= sc.load_cap)
-    mult = np.zeros(2 * m)
-    mean = np.zeros(2 * m)
-    with np.errstate(all="ignore"):
-        one = np.flatnonzero(ok & (j == 1))
-        x = lam[one]
-        mult[one] = np.where(one < m, closed_marginal_cost(s, x), closed_latency(s, x))
-        mean[one] = closed_latency(s, x)
-        ok[one] = x < s.mu
-        many = np.flatnonzero(ok & (j > 1))
-        mult[many], mean[many], bad = _lockstep_active(servers, lam[many], j[many],
-                                                       np.count_nonzero(many < m), sc.config)
-        ok[many] = ~bad
-    return (mult[:m], mean[:m], j[:m], ok[:m]), (mult[m:], mean[m:], j[m:], ok[m:])
-
-
-def _lockstep_active(servers, lam, j, n_opt, cfg):
-    """The j > 1 branch of ``_solve`` on slots ``lam``: (multiplier, mean, bad).
-
-    The first ``n_opt`` slots solve for the optimum, the rest for the equilibrium.
-    """
-    import numpy as np
-
-    n = len(servers)
+    valid = (lam > 0.0) & (lam <= sc.load_cap)
     z0 = np.array([s.z0 for s in servers])[:, None]
     columns = _rows(servers, QueueModel.MG1)  # mu and a of every server, for the slopes
     groups = []
@@ -504,101 +483,88 @@ def _lockstep_active(servers, lam, j, n_opt, cfg):
             group = _rows([servers[k] for k in rows], QueueModel.MM1 if mm1 else QueueModel.MG1)
             groups.append((slice(None) if len(rows) == n else np.array(rows), group))
     active = np.arange(n)[:, None] < j
-    bad = np.zeros(lam.size, dtype=bool)
-    # the state of a set of slots: (slot indices, z0 where a server is active and +inf where
-    # not, loads, number of optimum slots); "t > zm" is "active and t > z0"
-    every = (np.arange(lam.size), np.where(active, z0, np.inf), lam, n_opt)
+    zm = np.where(active, z0, np.inf)  # "t > zm" is "active and t > z0"
+    bad = np.zeros(2 * m, dtype=bool)
 
-    def keep(slots, go):
-        """The slots where ``go``."""
-        sel, zm, lm, no = slots
-        return sel[go], zm[:, go], lm[go], np.count_nonzero(go[:no])
-
-    def rates(t, slots):
+    def rates(t):
         """Each server's _invert_or_zero at the slots' targets ``t``, 0.0 where it is inactive."""
-        _, zm, _, no = slots
         x = np.empty(zm.shape)
         for rows, group in groups:
-            if no:
-                x[rows, :no] = closed_invert_marginal(group, t[:no], np.sqrt)
-            if no < t.size:
-                x[rows, no:] = closed_invert_latency(group, t[no:])
+            x[rows, :m] = closed_invert_marginal(group, t[:m], np.sqrt)
+            x[rows, m:] = closed_invert_latency(group, t[m:])
         return np.where(t > zm, x, 0.0)
 
-    def remaining(t, slots):
-        """The bisection residual at the slots' targets ``t``; flags the non-finite ones."""
-        r = _row_sum(rates(t, slots)) - slots[2]
-        fin = np.isfinite(r)
-        if not fin.all():
-            bad[slots[0][~fin]] = True
+    def remaining(t, live):
+        """The bisection residual at the slots' targets ``t``; flags the live non-finite ones."""
+        r = _row_sum(rates(t)) - lam
+        bad[live & ~np.isfinite(r)] = True
         return r
 
-    last = z0[j - 1, 0]
-    lo = last + cfg.resolution
-    hi = np.where(j == n, 2.0 * z0[n - 1, 0], z0[np.minimum(j, n - 1), 0])
-    slots = keep(every, j == n)
-    grow = 0
-    while slots[0].size:
-        slots = keep(slots, remaining(hi[slots[0]], slots) < 0.0)
-        hi[slots[0]] *= 2.0
-        grow += 1
-        if grow > 200:
-            bad[slots[0]] = True
-            break
-    shift = remaining(lo, every) > 0.0
-    lo[shift] = last[shift]
+    with np.errstate(all="ignore"):
+        many = valid & (j > 1)
+        last = z0[j - 1, 0]
+        lo = last + sc.config.resolution
+        hi = np.where(j == n, 2.0 * z0[n - 1, 0], z0[np.minimum(j, n - 1), 0])
+        live = many & (j == n)
+        grow = 0
+        while live.any():
+            live &= remaining(hi, live) < 0.0
+            hi = np.where(live, 2.0 * hi, hi)
+            grow += 1
+            if grow > 200:
+                bad |= live
+                break
+        lo = np.where(remaining(lo, many) > 0.0, last, lo)
 
-    # _bisect_multiplier's loop, each slot stopping at its own return;
-    # the slots' state is compacted on the steps where one stops
-    mult = np.empty(lam.size)
-    top = remaining(hi, every) < 0.0
-    mult[top] = hi[top]
-    slots, a, b = keep(every, ~top), lo[~top], hi[~top]
-    while slots[0].size:
-        mid = 0.5 * (a + b)
-        stop = (mid <= a) | (mid >= b)
-        if stop.any():
-            mult[slots[0][stop]] = mid[stop]
-            go = ~stop
-            slots, a, b, mid = keep(slots, go), a[go], b[go], mid[go]
-        below = remaining(mid, slots) < 0.0
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-        stop = b - a <= cfg.resolution
-        if stop.any():
-            mult[slots[0][stop]] = 0.5 * (a[stop] + b[stop])
-            go = ~stop
-            slots, a, b = keep(slots, go), a[go], b[go]
+        # _bisect_multiplier's loop, each slot stopping at its own return
+        top = remaining(hi, many) < 0.0
+        mult, a, b = hi, lo, hi
+        live = many & ~top
+        while live.any():
+            mid = 0.5 * (a + b)
+            stop = live & ((mid <= a) | (mid >= b))
+            mult = np.where(stop, mid, mult)
+            live &= ~stop
+            below = remaining(mid, live) < 0.0
+            a = np.where(below, mid, a)
+            b = np.where(below, b, mid)
+            stop = live & (b - a <= sc.config.resolution)
+            mult = np.where(stop, 0.5 * (a + b), mult)
+            live &= ~stop
 
-    # Newton polish; a slot leaves at its own break
-    slots = every
-    for _ in range(3):
-        sel, _, lm, no = slots
-        t = mult[sel]
-        x = rates(t, slots)
-        used = x > 0.0
-        # latency_slope's domain check
-        bad[sel[no:][(used[:, no:] & ~(x[:, no:] < columns.mu)).any(axis=0)]] = True
-        slope = np.empty(x.shape)
-        slope[:, :no] = _inverse_slope(columns, AllocationKind.OPTIMAL, x[:, :no], closed_slope)
-        slope[:, no:] = _inverse_slope(columns, AllocationKind.NEP, x[:, no:], closed_slope)
-        slope = _row_sum(np.where(used, slope, 0.0))
-        r = _row_sum(x) - lm
-        bad[sel[~np.isfinite(r)]] = True
-        nxt = t - r / slope
-        go = (slope > 0.0) & (lo[sel] <= nxt) & (nxt <= hi[sel])
-        slots = keep(slots, go)
-        mult[slots[0]] = nxt[go]
+        # Newton polish; a slot leaves at its own break
+        live = many
+        for _ in range(3):
+            x = rates(mult)
+            used = x > 0.0
+            # latency_slope's domain check
+            bad[m:] |= live[m:] & (used[:, m:] & ~(x[:, m:] < columns.mu)).any(axis=0)
+            slope = np.empty(x.shape)
+            slope[:, :m] = _inverse_slope(columns, AllocationKind.OPTIMAL, x[:, :m], closed_slope)
+            slope[:, m:] = _inverse_slope(columns, AllocationKind.NEP, x[:, m:], closed_slope)
+            slope = _row_sum(np.where(used, slope, 0.0))
+            r = _row_sum(x) - lam
+            bad |= live & ~np.isfinite(r)
+            nxt = mult - r / slope
+            live = live & (slope > 0.0) & (lo <= nxt) & (nxt <= hi)
+            mult = np.where(live, nxt, mult)
 
-    x = rates(mult, every)
-    bad |= (active & ~((0.0 <= x) & (x < columns.mu))).any(axis=0)  # latency's domain check
-    latencies = np.empty(x.shape)
-    for rows, group in groups:
-        latencies[rows] = closed_latency(group, x[rows])
-    mean = _row_sum(np.where(active, x / lam * latencies, 0.0))
-    bad |= np.abs(_row_sum(x) - lam) > SIMPLEX_TOL * lam  # _solve's simplex check
-    bad |= ~(np.isfinite(mult) & np.isfinite(mean))
-    return mult, mean, bad
+        x = rates(mult)
+        bad |= (active & ~((0.0 <= x) & (x < columns.mu))).any(axis=0)  # latency's domain check
+        latencies = np.empty(x.shape)
+        for rows, group in groups:
+            latencies[rows] = closed_latency(group, x[rows])
+        mean = _row_sum(np.where(active, x / lam * latencies, 0.0))
+        bad |= np.abs(_row_sum(x) - lam) > SIMPLEX_TOL * lam  # _solve's simplex check
+        bad |= ~(np.isfinite(mult) & np.isfinite(mean))
+
+        # the j = 1 slots, last
+        s = servers[0]
+        one = valid & (j == 1)
+        mult = np.where(one, np.concatenate((closed_marginal_cost(s, lams), closed_latency(s, lams))), mult)
+        mean = np.where(one, closed_latency(s, lam), mean)
+        ok = np.where(one, lam < s.mu, many & ~bad)
+    return (mult[:m], mean[:m], j[:m], ok[:m]), (mult[m:], mean[m:], j[m:], ok[m:])
 
 
 def _row_sum(x):

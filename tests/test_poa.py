@@ -16,6 +16,7 @@ from taskalloc import (
     AllocationKind,
     ConvergenceError,
     InfeasibleLoadError,
+    InversionError,
     QueueModel,
     Scenario,
     ServerSpec,
@@ -338,6 +339,38 @@ def test_lockstep_sweep_errors_and_generic_scenarios_go_per_point(toy):
         with pytest.raises(error):
             poa_at(sc, next(lam for lam in grid if not 1e-9 < lam <= sc.load_cap))
         _assert_lockstep_matches_poa_at(sc, grid)
+
+
+def test_lockstep_flags_a_failed_bracket():
+    # a = (1 + cv^2)/2 = 5e307 keeps the M/G/1 server's inverse latency near 0 far beyond 200
+    # doublings of the bracket's high end, so _solve cannot bracket the multiplier above
+    # the first server's capacity; the lockstep flags those slots and leaves them to poa_at
+    sc = Scenario((ServerSpec.mm1(0.010, 5.0), ServerSpec.mg1(0.020, 8.0, 1e154)))
+    loads = np.array([0.1, 0.5, 0.9]) * sc.total_mu
+    for *_, ok in solve_lockstep(sc, loads):
+        assert ok.tolist() == [True, False, False]
+    with pytest.raises(InversionError, match="could not bracket the multiplier"):
+        poa_sweep(sc, loads)
+    _assert_lockstep_matches_poa_at(sc, loads)
+
+
+@pytest.mark.parametrize("sc, single", [(SCENARIO1, 1.0), (Scenario((ServerSpec.mg1(0.02, 8.0, 2.0),)), 4.0)],
+                         ids=["scenario1", "one_server"])
+def test_lockstep_ok_where_poa_at_answers(sc, single):
+    # Loads that never enter the bisection still go through the masked array arithmetic:
+    # ok is True exactly where poa_at answers, and no warning escapes (filterwarnings = error)
+    cap = sc.load_cap
+    loads = np.array([np.nan, -1.0, 0.0, single, 0.6 * sc.total_mu, cap, np.nextafter(cap, np.inf), 2.0 * cap])
+    answered = []
+    for lam in loads.tolist():
+        try:
+            answered.append(poa_at(sc, lam) is not None)
+        except InfeasibleLoadError:
+            answered.append(False)
+    assert answered == [False, False, False, True, True, True, False, False]
+    for _, _, j, ok in solve_lockstep(sc, loads):
+        assert j[3] == 1  # below the second threshold: the single-server closed forms
+        assert ok.tolist() == answered
 
 
 POOL = (

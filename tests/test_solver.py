@@ -27,6 +27,7 @@ from taskalloc import (
     solve_nep,
     solve_optimal,
     sort_servers,
+    worst_case_poa,
     zero_load_latency,
 )
 from taskalloc.latency import _UserInverse, closed_invert_latency, closed_invert_marginal
@@ -169,6 +170,23 @@ def test_tiny_loads_on_tied_servers_raise():
         "the optimal split of arrival rate 5e-324 sums to inf, not 1: "
         "the multiplier could not be resolved finely enough at this load"
     )
+
+
+def test_polish_stopped_at_a_fleet_threshold_raises():
+    """The three lowest-z0 servers of a 57-server perfbench fleet_sparse scenario (seed 3244).
+
+    At the third server's NEP threshold the bisection stops 2.85e-13 below hi, that
+    server's z0, and the first Newton step lands 6.9e-18 above hi, so the polish breaks
+    and the bisection's split stays off the simplex.  This pins today's typed error:
+    ROADMAP item 6's fallback turns it into an answer.
+    """
+    sc = Scenario((ServerSpec.mg1(0.008917999999999999, 38.664, 3.0), ServerSpec.mm1(0.004083, 31.461),
+                   ServerSpec.md1(0.006093, 33.574)))
+    lam = activation_thresholds(sc, AllocationKind.NEP).loads[2]
+    assert lam == 0.33442578620767144
+    for run in (lambda: solve_nep(sc, lam), lambda: worst_case_poa(sc)):
+        with pytest.raises(ConvergenceError, match="sums to 0.9999999989059073, not 1"):
+            run()
 
 
 def test_results_reported_in_input_order():
