@@ -44,7 +44,6 @@ from .solver import (
     average_latency,
     solve_nep,
     solve_optimal,
-    sort_servers,
 )
 from .poa import (
     PoaCandidate,
@@ -136,7 +135,6 @@ __all__ = [
     "solve_nep",
     "solve_optimal",
     "solve_under_mode",
-    "sort_servers",
     "transformed_scenarios",
     "validate",
     "worst_case_poa",

@@ -132,7 +132,7 @@ def _cmd_thresholds(doc: ScenarioDocument, args) -> int:
     kinds = ([AllocationKind(args.kind)] if args.kind != "both"
              else [AllocationKind.OPTIMAL, AllocationKind.NEP])
     tables = {k: activation_thresholds(sc, k) for k in kinds}
-    order = tables[kinds[0]].order
+    order = sc.order
 
     header = ["position", "server", "d_ms", "mu", "zero_load_latency_s"]
     header += [f"threshold_{k.value}" for k in kinds]

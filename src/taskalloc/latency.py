@@ -101,7 +101,10 @@ class ServerSpec:
             raise ValueError("MD1 requires cv = 0")
         if (self.generic is not None) != (self.model is QueueModel.GENERIC):
             raise ValueError("generic latency functions go with model=GENERIC only")
-        object.__setattr__(self, "z0", self.d + 1.0 / self.mu)
+        z0 = self.d + 1.0 / self.mu
+        if not math.isfinite(z0):
+            raise ValueError(f"zero-load latency d + 1/mu must be finite, got {self.d} + 1/{self.mu}")
+        object.__setattr__(self, "z0", z0)
         object.__setattr__(self, "a", 0.5 * (1.0 + self.cv * self.cv))
 
     @classmethod
@@ -145,12 +148,20 @@ def latency(s: ServerSpec, x: float) -> float:
     return closed_latency(s, x)
 
 
+def _square_underflow(s: ServerSpec, x: float) -> DomainError:
+    """The closed forms of l' and h divide by (mu - x)^2, which underflows to 0 for a tiny mu."""
+    return DomainError(f"rate {x} too close to the service rate {s.mu}: (mu - x)^2 underflows to 0")
+
+
 def latency_slope(s: ServerSpec, x: float) -> float:
     """First derivative l'(x), seconds per (jobs/second)."""
     _check_rate(s, x)
     if s.model is _GENERIC:
         return s.generic.derivative_fn(x)
-    return closed_slope(s, x)
+    try:
+        return closed_slope(s, x)
+    except ZeroDivisionError:
+        raise _square_underflow(s, x) from None
 
 
 def marginal_cost(s: ServerSpec, x: float) -> float:
@@ -158,7 +169,10 @@ def marginal_cost(s: ServerSpec, x: float) -> float:
     _check_rate(s, x)
     if s.model is _GENERIC:
         return s.generic.latency_fn(x) + x * s.generic.derivative_fn(x)
-    return closed_marginal_cost(s, x)
+    try:
+        return closed_marginal_cost(s, x)
+    except ZeroDivisionError:
+        raise _square_underflow(s, x) from None
 
 
 def _check_settings(resolution: float, eps_sat: float) -> None:

@@ -158,7 +158,7 @@ def poa_points(sc: Scenario, grid) -> tuple[PoaPoint, ...]:
     one ``poa_at`` raises at the first load that fails.
     """
     lams = [float(lam) for lam in grid]
-    if sc.has_generic():
+    if sc.has_generic:
         return tuple(poa_at(sc, lam) for lam in lams)
     import numpy as np
 
@@ -180,13 +180,28 @@ def asymptotic_poa(sc: Scenario) -> float:
     Valid for the closed-form queue family; with a_j = (1 + cv_j^2)/2 the
     limit is (sum_j a_j) * (sum_j mu_j) / (sum_j sqrt(mu_j a_j))^2, which
     for all-exponential servers reduces to n * sum mu / (sum sqrt(mu))^2.
+    Where mu_j a_j overflows, the formula is evaluated with every a_j
+    divided by the largest; a limit that is still not finite raises
+    ``DomainError``.
     """
-    if sc.has_generic():
+    if sc.has_generic:
         raise UnsupportedModelError("no closed-form full-load limit for generic latency models")
+    limit = _full_load_limit(sc, 1.0)
+    if not math.isfinite(limit):
+        # homogeneous of degree 0 in a, so the scaling keeps the value
+        limit = _full_load_limit(sc, max(s.a for s in sc.servers))
+        if not math.isfinite(limit):
+            raise DomainError(f"the full-load limit of eta is {limit}, not a finite number")
+    return limit
+
+
+def _full_load_limit(sc: Scenario, scale: float) -> float:
+    """``asymptotic_poa``'s formula with every a_j divided by ``scale``."""
     a_sum = root_sum = 0.0
     for s in sc.servers:
-        a_sum += s.a
-        root_sum += math.sqrt(s.mu * s.a)
+        a = s.a / scale
+        a_sum += a
+        root_sum += math.sqrt(s.mu * a)
     return a_sum * sc.total_mu / (root_sum * root_sum)
 
 
@@ -209,7 +224,7 @@ def worst_case_poa(sc: Scenario) -> WorstCaseResult:
         candidates.append(
             PoaCandidate(location=f"nep activation of server {j + 1}", lam=lam, eta=point.eta)
         )
-    if sc.has_generic():
+    if sc.has_generic:
         lam = GENERIC_LIMIT_RHO * sc.total_mu
         candidates.append(PoaCandidate(location=FULL_LOAD, lam=lam, eta=poa_at(sc, lam).eta))
     else:

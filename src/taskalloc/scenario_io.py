@@ -215,7 +215,7 @@ def _delay_fields(d: float) -> dict:
 def dump_scenario(doc: ScenarioDocument) -> str:
     """Serialize so that parse_scenario returns an identical document."""
     sc = doc.scenario
-    if sc.has_generic():
+    if sc.has_generic:
         raise ScenarioParseError("generic models cannot be written to a scenario file")
     out: dict = {"format": FORMAT, "servers": []}
     for s in sc.servers:

@@ -21,9 +21,10 @@ threshold table inverts server by server through ``_invert_or_zero``,
 that is through ``latency.invert_*``, for every kind of curve.
 
 A ``Scenario`` derives what its servers and config fix once, at
-construction: the activation order, the total service rate, the load cap
-and whether a server has a user-supplied curve.  They are not part of ==,
-hash or repr, and ``dataclasses.replace`` derives them afresh.
+construction, as plain attributes: the activation order ``order``, the
+total service rate ``total_mu``, the load cap ``load_cap`` and
+``has_generic``, whether a server has a user-supplied curve.  They are not
+part of ==, hash or repr, and ``dataclasses.replace`` derives them afresh.
 
 A single solve calls ``latency.closed_invert_*`` directly for each active
 closed-form server in the multiplier bisection, the Newton polish and the
@@ -116,17 +117,21 @@ class Scenario:
 
     Servers may be listed in any order; solver outputs are reported in
     this input order with the activation-order permutation attached.
-    The activation order (``sort_servers``), ``total_mu``, ``load_cap``
-    and ``has_generic()`` are derived once, at construction; they are not
-    in ==, hash or repr, and ``dataclasses.replace`` derives them afresh.
+    ``order`` holds the input-order indices sorted by ascending zero-load
+    latency d + 1/mu, stably, so servers with equal zero-load latency keep
+    their input order; every threshold table and result of the scenario
+    shares this one tuple.  ``order``, ``total_mu``, ``load_cap`` and
+    ``has_generic`` (a server has a user-supplied curve) are derived once,
+    at construction; they are not in ==, hash or repr, and
+    ``dataclasses.replace`` derives them afresh.
     """
 
     servers: tuple[ServerSpec, ...]
     config: SolverConfig = field(default_factory=SolverConfig)
-    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
     total_mu: float = field(init=False, repr=False, compare=False)
     load_cap: float = field(init=False, repr=False, compare=False)  # largest admissible rate
-    _generic: bool = field(init=False, repr=False, compare=False)
+    has_generic: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         servers = tuple(self.servers)
@@ -136,14 +141,10 @@ class Scenario:
         for s in servers:
             total_mu += s.mu
         object.__setattr__(self, "servers", servers)
-        # stable, so servers with equal zero-load latency keep their input order
-        object.__setattr__(self, "_order", tuple(sorted(range(len(servers)), key=lambda i: servers[i].z0)))
+        object.__setattr__(self, "order", tuple(sorted(range(len(servers)), key=lambda i: servers[i].z0)))
         object.__setattr__(self, "total_mu", float(total_mu))
         object.__setattr__(self, "load_cap", (1.0 - self.config.eps_sat) * self.total_mu)
-        object.__setattr__(self, "_generic", any(s.model is QueueModel.GENERIC for s in servers))
-
-    def has_generic(self) -> bool:
-        return self._generic
+        object.__setattr__(self, "has_generic", any(s.model is QueueModel.GENERIC for s in servers))
 
 
 @dataclass(frozen=True)
@@ -213,15 +214,6 @@ def _split(res: AllocationResult):
     return value if type(value) is _Split else res.p
 
 
-def sort_servers(sc: Scenario) -> tuple[int, ...]:
-    """Input-order indices sorted by ascending zero-load latency d + 1/mu.
-
-    The sort is stable, so servers with equal zero-load latency keep
-    their input order.  Every call on a scenario returns the same tuple.
-    """
-    return sc._order
-
-
 def _invert_or_zero(s: ServerSpec, kind: AllocationKind, target: float, cfg: SolverConfig) -> float:
     """Rate at which the server's curve reaches ``target``, 0 if never below it."""
     if target <= s.z0:
@@ -243,7 +235,7 @@ def activation_thresholds(sc: Scenario, kind: AllocationKind) -> ThresholdTable:
     at that target (inverse marginal cost for the optimum, inverse
     latency for the equilibrium).
     """
-    order = sort_servers(sc)
+    order = sc.order
     loads = [0.0]
     for j in range(1, len(order)):
         target = sc.servers[order[j]].z0
@@ -329,7 +321,7 @@ def _solve(sc: Scenario, lam: float, kind: AllocationKind) -> AllocationResult:
             # the +resolution shift overshot an extremely sharp curve
             lo = active[-1].z0
         mult = _bisect_multiplier(sign, lo, hi, cfg.resolution)
-        closed = not sc.has_generic()
+        closed = not sc.has_generic
         if closed:
             # Newton polish to push the normalization residual to rounding level
             for _ in range(3):
@@ -467,7 +459,7 @@ def solve_lockstep(sc: Scenario, lams: np.ndarray):
     import numpy as np
 
     tables = [activation_thresholds(sc, kind) for kind in (AllocationKind.OPTIMAL, AllocationKind.NEP)]
-    servers = [sc.servers[i] for i in tables[0].order]
+    servers = [sc.servers[i] for i in sc.order]
     n, m = len(servers), lams.size
     lam = np.concatenate((lams, lams))
     # strict comparison, as in _solve

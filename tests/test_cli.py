@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,51 @@ def test_kept_window_of_fewer_than_two_arrivals(tmp_path, capsys):
     for command in ("simulate", "validate"):
         assert main([command, half, "--load", "1", "--jobs", "2"]) == 4
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Server files at the edge of floating point, with each command's exit code.  1e-300 alone:
+# (mu - x)^2 underflows to 0 in h and l', where solve, simulate and validate once gave a
+# ZeroDivisionError traceback.  With 5e-324, z0 = 1/mu is inf and the file is rejected.  cv
+# 1e154: mu a overflows in the full-load limit, once printed as nan and passed over by worst;
+# the sweep cannot bracket its multiplier (ROADMAP item 7), so only its exit code is pinned.
+DEGENERATE_SERVERS = {
+    "tiny_mu": ([{"d_ms": 10, "mu": 1e-300, "model": "mm1"}], (4, 0, 0, 0, 0, 4, 4)),
+    "infinite_z0": ([{"d_ms": 10, "mu": 1e-300, "model": "mm1"}, {"d_ms": 10, "mu": 5e-324, "model": "mm1"}],
+                    (2,) * 7),
+    "huge_cv": ([{"d_ms": 10, "mu": 5, "cv": 1e154}, {"d_ms": 20, "mu": 8}], (0, 0, 0, 0, 4, 0, (0, 5))),
+}
+DEGENERATE_COMMANDS = (["solve", "--rho", "0.5"], ["nep", "--rho", "0.5"], ["thresholds"], ["worst"],
+                       ["sweep", "--grid", "0.1:0.9:3"], ["simulate", "--rho", "0.5", "--jobs", "1000", "--reps", "2"],
+                       ["validate", "--rho", "0.5", "--jobs", "1000", "--reps", "2"])
+
+
+def _exact_sqrt(q: Fraction) -> Fraction:
+    """sqrt(q) to within 2**-200."""
+    return Fraction(math.isqrt(q.numerator * 4**200 // q.denominator), 2**200)
+
+
+@pytest.mark.parametrize("name", DEGENERATE_SERVERS)
+def test_degenerate_servers_give_no_traceback_or_nan_worst_case(name, tmp_path, capsys):
+    servers, codes = DEGENERATE_SERVERS[name]
+    path = _write(tmp_path, f"{name}.json", servers=servers)
+    for argv, expected in zip(DEGENERATE_COMMANDS, codes):
+        code = main([argv[0], path, *argv[1:]])  # an exception escaping main fails the test
+        out, err = capsys.readouterr()
+        assert code in (expected if isinstance(expected, tuple) else (expected,)), (argv, err)
+        assert "Traceback" not in out + err
+        assert code in (0, 5) or err.startswith("error: ")
+        if argv[0] == "worst":
+            assert "nan" not in out
+
+    if name == "huge_cv":
+        out = tmp_path / "worst.csv"
+        assert main(["worst", path, "--out", str(out)]) == 0
+        assert "worst case: eta 2.6 at full-load limit\n" in capsys.readouterr().out
+        limit = float(_read_csv(out)[-1][3])
+        mu = [Fraction(s["mu"]) for s in servers]
+        a = [(1 + Fraction(s.get("cv", 1.0)) ** 2) / 2 for s in servers]
+        exact = sum(a) * sum(mu) / sum(_exact_sqrt(m * x) for m, x in zip(mu, a)) ** 2
+        assert abs(Fraction(limit) / exact - 1) < Fraction(1, 10**12)
 
 
 def _run(capsys, argv, out):

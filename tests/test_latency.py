@@ -54,7 +54,8 @@ def test_zero_load_latency_is_d_plus_service_time():
 @st.composite
 def any_server(draw):
     finite = st.floats(0.0, 1e300)
-    d, mu = draw(finite), draw(st.floats(0.0, 1e300, exclude_min=True))
+    # from mu = 1e-300 up, z0 = d + 1/mu stays finite; below about 5.6e-309, 1/mu overflows
+    d, mu = draw(finite), draw(st.floats(1e-300, 1e300))
     model = draw(st.sampled_from(["mm1", "md1", "mg1", "generic"]))
     if model == "mm1":
         return ServerSpec.mm1(d, mu)
@@ -133,6 +134,12 @@ def test_domain_errors():
         invert_latency(s, 0.5)  # at l(0)
     with pytest.raises(DomainError):
         invert_marginal(s, 0.4)  # below h(0)
+    # a rate inside [0, mu) where (mu - x)^2 underflows to 0: a DomainError, not ZeroDivisionError
+    for tiny in (ServerSpec.mm1(0.01, 1e-300), ServerSpec.mg1(0.01, 1e-300, 2.0)):
+        for f in (marginal_cost, latency_slope):
+            with pytest.raises(DomainError, match=r"\(mu - x\)\^2 underflows to 0"):
+                f(tiny, 5e-301)
+        assert math.isfinite(latency(tiny, 5e-301))  # l itself divides by mu - x only
 
 
 def test_round_trip_inversions():
@@ -302,6 +309,10 @@ def test_server_spec_validation():
         with pytest.raises(ValueError, match=r"cv\^2 must be finite"):
             ServerSpec.mg1(0.0, 1.0, cv)
     assert ServerSpec.mg1(0.0, 1.0, 1.34e154).a < math.inf
+    for d, mu in ((0.01, 5e-324), (1.7e308, 1e-308)):  # z0 = d + 1/mu overflows
+        with pytest.raises(ValueError, match="zero-load latency d \\+ 1/mu must be finite"):
+            ServerSpec.mm1(d, mu)
+    assert ServerSpec.mm1(0.01, 1e-300).z0 < math.inf
     with pytest.raises(ValueError):
         ServerSpec(d=0.0, mu=1.0, cv=2.0, model=QueueModel.MM1)
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from taskalloc import (
     AllocationKind,
     ConvergenceError,
+    DomainError,
     InfeasibleLoadError,
     InversionError,
     QueueModel,
@@ -27,7 +28,6 @@ from taskalloc import (
     load_scenario_file,
     poa_at,
     poa_sweep,
-    sort_servers,
     worst_case_poa,
 )
 from taskalloc.solver import solve_lockstep
@@ -127,6 +127,15 @@ def test_asymptotic_values():
     assert asymptotic_poa(md1) == pytest.approx(expected_md1, rel=1e-14)
     # the common-variance factor cancels: same limit as the MM1 fleet
     assert expected_md1 == pytest.approx(expected, rel=1e-14)
+
+    # mu a overflows: the limit is taken with a scaled by its largest value, not as inf / inf
+    huge_cv = Scenario((ServerSpec.mg1(0.010, 5.0, 1e154), ServerSpec.mm1(0.020, 8.0)))
+    assert asymptotic_poa(huge_cv) == pytest.approx(2.6, rel=1e-15)
+    below = Scenario((ServerSpec.mg1(0.010, 5.0, 1e153), ServerSpec.mm1(0.020, 8.0)))  # mu a is finite
+    assert asymptotic_poa(below) == pytest.approx(2.6, rel=1e-15)
+    # sum mu overflows: no scaling of a helps
+    with pytest.raises(DomainError, match="full-load limit of eta is nan"):
+        asymptotic_poa(Scenario((ServerSpec.mm1(0.0, 1e308), ServerSpec.mm1(0.0, 1e308))))
 
 
 def test_asymptotic_rejects_generic():
@@ -389,7 +398,7 @@ POOL = (
 def test_pool_interleaves_formulas():
     # the lockstep groups M/M/1 rows apart from M/D/1 and M/G/1 rows, and must still sum in
     # activation order: in the pool's order, neither group is one block of rows
-    mm1 = [POOL[i].model is QueueModel.MM1 for i in sort_servers(Scenario(POOL))]
+    mm1 = [POOL[i].model is QueueModel.MM1 for i in Scenario(POOL).order]
     assert sum(a != b for a, b in zip(mm1, mm1[1:])) > 1
 
 

@@ -26,7 +26,6 @@ from taskalloc import (
     marginal_cost,
     solve_nep,
     solve_optimal,
-    sort_servers,
     worst_case_poa,
     zero_load_latency,
 )
@@ -42,17 +41,17 @@ SCENARIO1 = Scenario((ServerSpec.mm1(0.040, 15.0), ServerSpec.mm1(0.030, 9.0),
                       ServerSpec.mm1(0.150, 20.0)))
 
 
-def test_sort_servers_examples():
-    assert sort_servers(SCENARIO1) == (0, 1, 2)
+def test_activation_order_examples():
+    assert SCENARIO1.order == (0, 1, 2)
     two = Scenario((ServerSpec.mm1(0.030, 9.0), ServerSpec.mm1(0.040, 15.0)))
-    assert sort_servers(two) == (1, 0)
-    assert sort_servers(Scenario((ServerSpec.mm1(0.0, 1.0),))) == (0,)
+    assert two.order == (1, 0)
+    assert Scenario((ServerSpec.mm1(0.0, 1.0),)).order == (0,)
 
 
 def test_sort_is_stable_on_ties():
     sc = Scenario((ServerSpec.mm1(0.1, 5.0), ServerSpec.mm1(0.1, 5.0),
                    ServerSpec.mm1(0.0, 2.0)))
-    assert sort_servers(sc) == (0, 1, 2)
+    assert sc.order == (0, 1, 2)
 
 
 def test_threshold_examples(toy):
@@ -191,7 +190,7 @@ def test_polish_stopped_at_a_fleet_threshold_raises():
 
 def test_results_reported_in_input_order():
     shuffled = Scenario((SCENARIO1.servers[2], SCENARIO1.servers[0], SCENARIO1.servers[1]))
-    assert sort_servers(shuffled) == (1, 2, 0)
+    assert shuffled.order == (1, 2, 0)
     lam = 20.0
     base = solve_optimal(SCENARIO1, lam)
     perm = solve_optimal(shuffled, lam)
@@ -317,14 +316,14 @@ def tied_scenario(draw):
 @given(tied_scenario(), st.floats(1e-12, 0.5), st.floats(0.05, 0.95))
 def test_derived_scenario_state(sc, eps_sat, frac):
     servers = sc.servers
-    assert sort_servers(sc) == tuple(sorted(range(len(servers)), key=lambda i: servers[i].z0))
+    assert sc.order == tuple(sorted(range(len(servers)), key=lambda i: servers[i].z0))
     assert sc.total_mu.hex() == float(sum(s.mu for s in servers)).hex()
     assert sc.load_cap.hex() == ((1.0 - sc.config.eps_sat) * sc.total_mu).hex()
-    assert sc.has_generic() == any(s.model is QueueModel.GENERIC for s in servers)
+    assert sc.has_generic == any(s.model is QueueModel.GENERIC for s in servers)
 
     # derived once and kept out of ==, hash and repr
     twin = Scenario(list(servers), sc.config)
-    for name in ("_order", "total_mu", "load_cap", "_generic"):
+    for name in ("order", "total_mu", "load_cap", "has_generic"):
         object.__setattr__(twin, name, None)
     assert twin == sc and hash(twin) == hash(sc)
     assert repr(sc) == f"Scenario(servers={servers!r}, config={sc.config!r})"
@@ -332,7 +331,7 @@ def test_derived_scenario_state(sc, eps_sat, frac):
     # replace derives afresh and takes no derived field
     moved = replace(sc, config=SolverConfig(eps_sat=eps_sat))
     assert moved.load_cap.hex() == ((1.0 - eps_sat) * sc.total_mu).hex()
-    assert sort_servers(moved) == sort_servers(sc)
+    assert moved.order == sc.order
     with pytest.raises(ValueError):
         replace(sc, load_cap=1.0)
 
@@ -341,8 +340,8 @@ def test_derived_scenario_state(sc, eps_sat, frac):
     for kind in AllocationKind:
         table = activation_thresholds(sc, kind)
         assume(all(abs(lam - t) > 1e-6 * lam for t in table.loads))
-        assert table.order is sort_servers(sc)
-        assert _solve(sc, lam, kind).order is sort_servers(sc)
+        assert table.order is sc.order
+        assert _solve(sc, lam, kind).order is sc.order
 
 
 def test_scenario_requires_servers():
@@ -499,7 +498,7 @@ def test_settled_residual_at_an_exact_zero(case):
     its plain sign is >= 0.0 and its strict sign < 0.0."""
     sc, kind, lam, fractions = case
     cfg = sc.config
-    active = [sc.servers[i] for i in sort_servers(sc)]
+    active = [sc.servers[i] for i in sc.order]
     assume(any(s.model is QueueModel.GENERIC for s in active))
     z0 = active[-1].z0
     t = z0 + fractions[0] * z0
